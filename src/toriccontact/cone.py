@@ -21,7 +21,7 @@ from .errors import (
     NotAReebVectorError,
     SymbolicReebUndecidableError,
 )
-from .polytope import AffineFunction, LabelledPolytope, frac, frac_str
+from .polytope import AffineFunction, LabelledPolytope, _extreme_rays, frac, frac_str
 
 RatVec = Sequence[Union[Fraction, int, str]]
 
@@ -46,26 +46,12 @@ class Cone:
 
     @cached_property
     def extreme_rays(self) -> tuple[tuple[int, ...], ...]:
-        """Primitive generators of the extreme rays (empty if not pointed)."""
-        k, labels = self.dim, self.labels
-        rays = set()
-        if k == 1:
-            for cand in ((1,), (-1,)):
-                if all(l[0] * cand[0] >= 0 for l in labels):
-                    rays.add(cand)
-            return tuple(sorted(rays))
-        for subset in itertools.combinations(range(len(labels)), k - 1):
-            sub = [labels[i] for i in subset]
-            if intlinalg.rational_rank(sub) != k - 1:
-                continue
-            kern = intlinalg.integer_kernel_basis(sub)
-            if kern.rank != 1:
-                continue
-            g = kern.vectors[0]
-            for cand in (g, tuple(-c for c in g)):
-                if all(_dot(l, cand) >= 0 for l in labels):
-                    rays.add(intlinalg.primitive_part(cand))
-        return tuple(sorted(rays))
+        """Primitive generators of the extreme rays.
+
+        Meaningful only for labels of rank ``dim``: for other cones the
+        result may be empty or hold both signs of a lineality direction.
+        """
+        return _extreme_rays(self.labels, self.dim)
 
     @cached_property
     def ray_active_sets(self) -> tuple[frozenset[int], ...]:

@@ -7,6 +7,11 @@ Python's arbitrary-precision ints; rationals are ``fractions.Fraction``
 (always in lowest terms, positive denominator), which is exactly the
 rational substrate the rest of the package relies on.
 
+Rank, solve, rational kernel, inverse and determinant are thin views over
+one fraction-free Gauss-Jordan kernel (Bareiss 1968): rows are scaled to
+integers once, eliminated with exact integer division, and only the final
+answers are turned back into Fractions.
+
 Conventions fixed once and used everywhere:
 
 * Hermite normal form is row-style: ``U @ M == H`` with ``U`` unimodular,
@@ -235,27 +240,58 @@ def lattice_row_basis(m: Sequence[Sequence[int]]) -> tuple[IntVector, ...]:
 # -- exact rational elimination ------------------------------------------
 
 
-def rational_rank(m: Sequence[Sequence[Fraction | int]]) -> int:
-    """Rank over Q by exact Gaussian elimination."""
-    a = [[Fraction(e) for e in row] for row in m]
+def _eliminate(
+    m: Sequence[Sequence[Fraction | int]], cols: Optional[int] = None
+) -> tuple[IntMatrix, list[int], int, int]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968) of a rational matrix.
+
+    Each row is first scaled to integers by the lcm of its denominators.  Every
+    row, above and below the pivot, is then updated with Bareiss' exact
+    division by the previous pivot, so all pivots end equal to the last one,
+    ``d``, and the returned rows are ``d`` times the reduced row echelon form,
+    pivot rows first.  Pivots are searched only in the first ``cols`` columns
+    (default: all), so right-hand sides or an identity block can ride along.
+
+    Returns ``(rows, pivot_columns, d, scale)``.  ``scale`` is the product of
+    the row scales, negated once per row swap; for a square matrix of full
+    rank its determinant is ``d / scale``.
+    """
+    a: IntMatrix = []
+    scale = 1
+    for row in m:
+        row = [e if isinstance(e, (int, Fraction)) else Fraction(e) for e in row]
+        s = math.lcm(*(e.denominator for e in row))
+        a.append([e.numerator * (s // e.denominator) for e in row])
+        scale *= s
     rows = len(a)
-    cols = len(a[0]) if rows else 0
-    rank = 0
+    if cols is None:
+        cols = len(a[0]) if rows else 0
+    pivots: list[int] = []
+    d = 1
     for col in range(cols):
-        pivot = next((i for i in range(rank, rows) if a[i][col] != 0), None)
+        r = len(pivots)
+        if r == rows:
+            break
+        pivot = next((i for i in range(r, rows) if a[i][col] != 0), None)
         if pivot is None:
             continue
-        a[rank], a[pivot] = a[pivot], a[rank]
-        inv = 1 / a[rank][col]
-        a[rank] = [e * inv for e in a[rank]]
+        if pivot != r:
+            a[r], a[pivot] = a[pivot], a[r]
+            scale = -scale
+        prow = a[r]
+        p = prow[col]
         for i in range(rows):
-            if i != rank and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [e - f * p for e, p in zip(a[i], a[rank])]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+            f = a[i][col]
+            if i != r and (f != 0 or p != d):
+                a[i] = [(p * e - f * q) // d for e, q in zip(a[i], prow)]
+        d = p
+        pivots.append(col)
+    return a, pivots, d, scale
+
+
+def rational_rank(m: Sequence[Sequence[Fraction | int]]) -> int:
+    """Rank over Q by exact elimination."""
+    return len(_eliminate(m)[1])
 
 
 def solve_exact(
@@ -265,62 +301,34 @@ def solve_exact(
 
     When the system is underdetermined, free variables are set to zero.
     """
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    aug = [[Fraction(e) for e in row] + [Fraction(b[i])] for i, row in enumerate(a)]
-    pivots: list[tuple[int, int]] = []
-    rank = 0
-    for col in range(cols):
-        pivot = next((i for i in range(rank, rows) if aug[i][col] != 0), None)
-        if pivot is None:
-            continue
-        aug[rank], aug[pivot] = aug[pivot], aug[rank]
-        inv = 1 / aug[rank][col]
-        aug[rank] = [e * inv for e in aug[rank]]
-        for i in range(rows):
-            if i != rank and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [e - f * p for e, p in zip(aug[i], aug[rank])]
-        pivots.append((rank, col))
-        rank += 1
-    for i in range(rank, rows):
-        if aug[i][cols] != 0:
-            return None
+    cols = len(a[0]) if a else 0
+    red, pivots, d, _ = _eliminate(
+        [list(row) + [b[i]] for i, row in enumerate(a)], cols
+    )
+    if any(row[cols] != 0 for row in red[len(pivots):]):
+        return None
     x = [Fraction(0)] * cols
-    for row, col in pivots:
-        x[col] = aug[row][cols]
+    for row, col in zip(red, pivots):
+        x[col] = Fraction(row[cols], d)
     return tuple(x)
 
 
 def rational_kernel_basis(
     m: Sequence[Sequence[Fraction | int]],
 ) -> tuple[FracVector, ...]:
-    """Basis of the rational kernel ``{x in Q^d : M x = 0}``."""
-    a = [[Fraction(e) for e in row] for row in m]
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    pivots: list[int] = []
-    rank = 0
-    for col in range(cols):
-        pivot = next((i for i in range(rank, rows) if a[i][col] != 0), None)
-        if pivot is None:
-            continue
-        a[rank], a[pivot] = a[pivot], a[rank]
-        inv = 1 / a[rank][col]
-        a[rank] = [e * inv for e in a[rank]]
-        for i in range(rows):
-            if i != rank and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [e - f * p for e, p in zip(a[i], a[rank])]
-        pivots.append(col)
-        rank += 1
-    free = [c for c in range(cols) if c not in pivots]
+    """Basis of the rational kernel ``{x in Q^d : M x = 0}``.
+
+    One vector per non-pivot column ``f`` of the reduced echelon form, with
+    entry 1 at ``f``, zero at the other free columns.
+    """
+    red, pivots, d, _ = _eliminate(m)
+    cols = len(red[0]) if red else 0
     basis = []
-    for f_col in free:
+    for f_col in (c for c in range(cols) if c not in pivots):
         vec = [Fraction(0)] * cols
         vec[f_col] = Fraction(1)
-        for row, p_col in enumerate(pivots):
-            vec[p_col] = -a[row][f_col]
+        for row, p_col in zip(red, pivots):
+            vec[p_col] = Fraction(-row[f_col], d)
         basis.append(tuple(vec))
     return tuple(basis)
 
@@ -328,19 +336,18 @@ def rational_kernel_basis(
 def invert_exact(a: Sequence[Sequence[Fraction | int]]) -> list[list[Fraction]]:
     """Exact inverse of a square rational matrix."""
     n = len(a)
-    aug = [
-        [Fraction(e) for e in row] + [Fraction(int(i == j)) for j in range(n)]
-        for i, row in enumerate(a)
-    ]
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if aug[i][col] != 0), None)
-        if pivot is None:
-            raise InvalidArgumentError("matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [e * inv for e in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [e - f * p for e, p in zip(aug[i], aug[col])]
-    return [row[n:] for row in aug]
+    red, pivots, d, _ = _eliminate(
+        [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)], n
+    )
+    if len(pivots) < n:
+        raise InvalidArgumentError("matrix is singular")
+    return [[Fraction(e, d) for e in row[n:]] for row in red]
+
+
+def determinant(m: Sequence[Sequence[Fraction | int]]) -> Fraction:
+    """Exact determinant of a square rational matrix (1 for the empty matrix)."""
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise InvalidArgumentError("determinant needs a square matrix")
+    _, pivots, d, scale = _eliminate(m)
+    return Fraction(d, scale) if len(pivots) == n else Fraction(0)

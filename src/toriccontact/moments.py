@@ -13,8 +13,9 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
+from . import intlinalg
 from .errors import InvalidPolytopeError
-from .polytope import LabelledPolytope
+from .polytope import LabelledPolytope, _affine_rank
 
 Point = tuple[Fraction, ...]
 Monomial = tuple[int, ...]
@@ -45,41 +46,12 @@ def _triangulate_face(poly, vset: Sequence[Point], rank: int) -> list[tuple[Poin
     return simplices
 
 
-def _affine_rank(points: Sequence[Point]) -> int:
-    if len(points) <= 1:
-        return 0
-    base = points[0]
-    rows = [[p[i] - base[i] for i in range(len(base))] for p in points[1:]]
-    from . import intlinalg
-
-    return intlinalg.rational_rank(rows)
-
-
 def simplex_volume(verts: Sequence[Point]) -> Fraction:
     """Lebesgue volume of a full-dimensional simplex in its ambient space."""
     n = len(verts) - 1
     base = verts[0]
     rows = [[verts[j + 1][i] - base[i] for i in range(n)] for j in range(n)]
-    return abs(_det(rows)) / math.factorial(n)
-
-
-def _det(rows) -> Fraction:
-    m = [list(map(Fraction, r)) for r in rows]
-    n = len(m)
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        for r in range(col + 1, n):
-            factor = m[r][col] / m[col][col]
-            for c in range(col, n):
-                m[r][c] -= factor * m[col][c]
-    return det
+    return abs(intlinalg.determinant(rows)) / math.factorial(n)
 
 
 def _simplex_monomial_integral(verts: Sequence[Point], alpha: Monomial,
@@ -157,7 +129,7 @@ def facet_sigma_moment(poly: LabelledPolytope, facet_index: int,
         rows.append(list(f.normal))
         # sigma-measure of the facet simplex; n_i is orthogonal to the facet,
         # so the determinant factors as (Euclidean volume)*(n-1)!*||n_i||.
-        measure = abs(_det(rows)) / (norm2 * math.factorial(n - 1))
+        measure = abs(intlinalg.determinant(rows)) / (norm2 * math.factorial(n - 1))
         if measure == 0:
             continue
         total += _simplex_monomial_integral(simplex, alpha, measure)

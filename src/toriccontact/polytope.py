@@ -135,7 +135,9 @@ class LabelledPolytope:
         normals = [f.normal for f in self.facets]
         if intlinalg.rational_rank(normals) < self.dim:
             raise InvalidPolytopeError("normals do not span; region is unbounded")
-        if self._has_recession_ray(normals):
+        if _extreme_rays(normals, self.dim):
+            # The recession cone {x : <n_i, x> >= 0} is pointed (rank-n
+            # normals), so it is nonzero exactly when it has an extreme ray.
             raise InvalidPolytopeError("region is unbounded")
         verts = self.vertices
         if not verts:
@@ -146,24 +148,6 @@ class LabelledPolytope:
             on_facet = [v for v in verts if self.facets[i](v) == 0]
             if _affine_rank(on_facet) != self.dim - 1:
                 raise InvalidPolytopeError(f"facet {i} is redundant")
-
-    def _has_recession_ray(self, normals) -> bool:
-        n = self.dim
-        for subset in itertools.combinations(range(len(normals)), n - 1):
-            sub = [normals[i] for i in subset]
-            if sub and intlinalg.rational_rank(sub) != n - 1:
-                continue
-            kern = intlinalg.rational_kernel_basis(sub if sub else [[Fraction(0)] * n])
-            kern = [v for v in kern if any(c != 0 for c in v)]
-            if len(kern) != 1:
-                continue
-            g = kern[0]
-            for cand in (g, tuple(-c for c in g)):
-                if all(
-                    sum(a * b for a, b in zip(row, cand)) >= 0 for row in normals
-                ):
-                    return True
-        return False
 
     # -- derived data ------------------------------------------------------
 
@@ -224,15 +208,13 @@ class LabelledPolytope:
 
     def is_rational(self) -> bool:
         """Normals lie in a common lattice: the integer kernel of
-        ``x -> sum x_i n_i`` must have rank >= d - dim(Aff) + 1."""
-        d = len(self.facets)
-        k = self.dim + 1
-        denom = math.lcm(
-            *(c.denominator for f in self.facets for c in f.normal)
-        )
-        cols = [[int(f.normal[j] * denom) for f in self.facets] for j in range(self.dim)]
-        kern = intlinalg.integer_kernel_basis(cols)
-        return kern.rank >= d - k + 1
+        ``x -> sum x_i n_i`` must have rank >= d - dim(Aff) + 1 = d - n.
+
+        Always True: validation guarantees rational normals of rank n, and
+        the integer kernel of a rank-n integer matrix with d columns has
+        rank exactly d - n.
+        """
+        return True
 
     def is_characteristic(self) -> "CharacteristicResult":
         """Decide whether the labels span a lattice with a good cone over P."""
@@ -320,20 +302,39 @@ def _affine_rank(points) -> int:
     return intlinalg.rational_rank(diffs)
 
 
+def _extreme_rays(normals, dim: int) -> tuple[intlinalg.IntVector, ...]:
+    """Primitive integer generators of the extreme rays of ``{x : <n_i, x> >= 0}``.
+
+    Each candidate spans the one-dimensional kernel of some ``dim - 1``
+    normals and is kept, with either sign, when it satisfies every inequality.
+    For normals of rank ``dim`` these are exactly the extreme rays, and there
+    are none iff the cone is the origin alone.
+    """
+    rays = set()
+    for sub in itertools.combinations(normals, dim - 1):
+        # In dimension 1 the only subset is empty and its kernel is all of Q.
+        kern = intlinalg.rational_kernel_basis(sub or [[0] * dim])
+        if len(kern) != 1:
+            continue
+        denom = math.lcm(*(c.denominator for c in kern[0]))
+        g = intlinalg.primitive_part(
+            [c.numerator * (denom // c.denominator) for c in kern[0]]
+        )
+        for cand in (g, tuple(-c for c in g)):
+            if all(sum(a * b for a, b in zip(n, cand)) >= 0 for n in normals):
+                rays.add(cand)
+    return tuple(sorted(rays))
+
+
 def _matroid_components(vectors) -> list[set[int]]:
     """Connected components of the linear matroid on ``vectors``.
 
     Components are the transitive closure of the fundamental circuits with
-    respect to one maximal independent subset: each dependent vector is
-    expanded in the basis and joined to every basis vector it uses.
+    respect to the greedy basis: each rational kernel basis vector of the
+    matrix whose columns are ``vectors`` expands one dependent vector in that
+    basis, and its support is a circuit.
     """
     n = len(vectors)
-    basis_idx: list[int] = []
-    for i in range(n):
-        chosen = [vectors[j] for j in basis_idx] + [vectors[i]]
-        if intlinalg.rational_rank(chosen) > len(basis_idx):
-            basis_idx.append(i)
-
     parent = list(range(n))
 
     def find(a: int) -> int:
@@ -342,18 +343,12 @@ def _matroid_components(vectors) -> list[set[int]]:
             a = parent[a]
         return a
 
-    def union(a: int, b: int):
-        parent[find(a)] = find(b)
-
     dim = len(vectors[0]) if vectors else 0
-    matrix = [[vectors[b][j] for b in basis_idx] for j in range(dim)]
-    for e in range(n):
-        if e in basis_idx:
-            continue
-        coeffs = intlinalg.solve_exact(matrix, list(vectors[e]))
-        for b, c in zip(basis_idx, coeffs):
-            if c != 0:
-                union(e, b)
+    columns = [[v[j] for v in vectors] for j in range(dim)]
+    for circuit in intlinalg.rational_kernel_basis(columns):
+        support = [i for i, c in enumerate(circuit) if c != 0]
+        for i in support[1:]:
+            parent[find(i)] = find(support[0])
 
     groups: dict[int, set[int]] = {}
     for i in range(n):

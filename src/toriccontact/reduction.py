@@ -18,7 +18,7 @@ from typing import Optional
 
 from . import cone as cone_mod
 from . import intlinalg
-from .cone import Cone, characteristic_polytope
+from .cone import Cone, _dot, characteristic_polytope
 from .errors import (
     InternalInconsistencyError,
     InvalidConeError,
@@ -171,6 +171,7 @@ def _slice_factors(cone: Cone, b: tuple[int, ...], part: SimplexProductPartition
     slc = characteristic_polytope(cone, [Fraction(c) for c in b])
     poly = slc.polytope
     facets = list(poly.facets)
+    p0 = poly.interior_point()
     out = []
     for own, other in ((part.group1, part.group2), (part.group2, part.group1)):
         normals_other = [[int(c) for c in facets[j].normal] for j in other]
@@ -178,7 +179,6 @@ def _slice_factors(cone: Cone, b: tuple[int, ...], part: SimplexProductPartition
         n_own = len(own) - 1
         if len(directions) != n_own:
             raise InternalInconsistencyError("factor direction space has wrong dimension")
-        p0 = _centroid(poly.vertices)
         factor_facets = []
         for i in own:
             f = facets[i]
@@ -191,12 +191,3 @@ def _slice_factors(cone: Cone, b: tuple[int, ...], part: SimplexProductPartition
         out.append(LabelledPolytope(n_own, tuple(factor_facets)))
     return out[0], out[1]
 
-
-def _centroid(points):
-    n = len(points)
-    dim = len(points[0])
-    return tuple(sum(p[r] for p in points) / n for r in range(dim))
-
-
-def _dot(a, b):
-    return sum(x * y for x, y in zip(a, b))

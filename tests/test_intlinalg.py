@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -130,3 +131,55 @@ def test_rational_kernel():
     assert len(kern) == 2
     for v in kern:
         assert sum(v) == 0
+
+
+fracs = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+# Frequent zeros force row swaps during elimination.
+entries = st.one_of(st.just(Fraction(0)), fracs)
+
+
+@st.composite
+def frac_matrices(draw):
+    """Fraction matrices, about half of them forced rank-deficient."""
+    rows = draw(st.integers(1, 4))
+    cols = draw(st.integers(1, 4))
+    m = [draw(st.lists(entries, min_size=cols, max_size=cols)) for _ in range(rows)]
+    if rows > 1 and draw(st.booleans()):
+        i = draw(st.integers(0, rows - 1))
+        others = [m[r] for r in range(rows) if r != i]
+        coeffs = draw(st.lists(fracs, min_size=rows - 1, max_size=rows - 1))
+        m[i] = [sum(c * row[j] for c, row in zip(coeffs, others)) for j in range(cols)]
+    return m
+
+
+def _sym(m):
+    return sympy.Matrix([[sympy.Rational(e.numerator, e.denominator) for e in row]
+                         for row in m])
+
+
+@given(frac_matrices(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_elimination_matches_sympy(m, data):
+    rows, cols = len(m), len(m[0])
+    sm = _sym(m)
+    assert il.rational_rank(m) == sm.rank()
+    kern = il.rational_kernel_basis(m)
+    assert len(kern) == len(sm.nullspace())
+    for v in kern:
+        assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in m)
+    b = data.draw(st.lists(fracs, min_size=rows, max_size=rows))
+    x = il.solve_exact(m, b)
+    consistent = sm.row_join(_sym([[e] for e in b])).rank() == sm.rank()
+    assert (x is not None) == consistent
+    if x is not None:
+        assert [sum(a * xi for a, xi in zip(row, x)) for row in m] == b
+    square = [row[:min(rows, cols)] for row in m[:min(rows, cols)]]
+    sq = _sym(square)
+    det = il.determinant(square)
+    assert det == Fraction(str(sq.det()))
+    if det == 0:
+        with pytest.raises(InvalidArgumentError):
+            il.invert_exact(square)
+    else:
+        inv = il.invert_exact(square)
+        assert _sym(inv) == sq.inv()

@@ -24,6 +24,12 @@ def test_unbounded_rejected():
             AffineFunction((0, 1), 0),
             AffineFunction((1, 1), 1),
         ])
+    with pytest.raises(InvalidPolytopeError, match="unbounded"):
+        LabelledPolytope(2, [   # half-strip 0 <= x <= 3, y >= 0
+            AffineFunction((Fraction(1, 2), 0), 0),
+            AffineFunction((Fraction(-1, 3), 0), 1),
+            AffineFunction((0, Fraction(3, 4)), 0),
+        ])
 
 
 def test_empty_rejected():

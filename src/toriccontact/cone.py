@@ -3,12 +3,11 @@
 A cone is stored by its primitive integer inward normals (labels) with the
 lattice implicitly Z^k.  Goodness is the saturation condition on every face
 sublattice; faces are enumerated through the extreme-ray/facet incidence at
-exact rational precision.
+exact rational precision, and the decision is made once per cone.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -59,6 +58,19 @@ class Cone:
             frozenset(i for i, l in enumerate(self.labels) if _dot(l, r) == 0)
             for r in self.extreme_rays
         )
+
+    @cached_property
+    def _goodness(self) -> GoodnessResult:
+        # cached_property stores only returned values, so a cone that is not
+        # strictly convex raises on every call.
+        if not is_strictly_convex(self):
+            raise InvalidConeError("goodness requires a strictly convex cone")
+        for face in proper_faces(self):
+            rows = [self.labels[i] for i in face]
+            factors = intlinalg.smith_invariant_factors(rows)
+            if any(f != 1 for f in factors):
+                return GoodnessResult(False, face, tuple(factors))
+        return GoodnessResult(True)
 
     def to_json(self) -> dict:
         return {"dim": self.dim, "labels": [list(l) for l in self.labels]}
@@ -158,32 +170,39 @@ def is_strictly_convex(cone: Cone) -> bool:
 
 
 def proper_faces(cone: Cone) -> list[tuple[int, ...]]:
-    """Active label index sets of the faces of dimension >= 1.
+    """Active label index sets of the faces of dimension 1 to ``dim - 1``.
 
     Each face is the positive hull of the extreme rays it contains, so the
     distinct faces are exactly the distinct intersections of ray active sets
-    over nonempty ray subsets.  The apex is excluded.
+    over nonempty ray subsets.  They are found by closure (Kaibel and Pfetsch
+    2002): starting from the ray active sets, each newly found set is
+    intersected with every ray active set until no new set appears, which
+    costs #faces x #rays intersections.  The apex, whose active set is every
+    label, is no such intersection; the whole cone has the empty active set,
+    which is discarded.  Sorted by size, then lexicographically.
     """
-    actives = cone.ray_active_sets
-    seen: set[frozenset[int]] = set()
-    for size in range(1, len(actives) + 1):
-        for combo in itertools.combinations(actives, size):
-            inter = frozenset.intersection(*combo)
-            seen.add(inter)
+    actives = set(cone.ray_active_sets)
+    seen = set(actives)
+    frontier = list(actives)
+    while frontier:
+        found = frontier.pop()
+        for active in actives:
+            inter = found & active
+            if inter not in seen:
+                seen.add(inter)
+                frontier.append(inter)
     seen.discard(frozenset())
     return sorted((tuple(sorted(s)) for s in seen), key=lambda t: (len(t), t))
 
 
 def is_good(cone: Cone) -> GoodnessResult:
-    """Lerman's condition: every face sublattice is saturated in Z^k."""
-    if not is_strictly_convex(cone):
-        raise InvalidConeError("goodness requires a strictly convex cone")
-    for face in proper_faces(cone):
-        rows = [cone.labels[i] for i in face]
-        factors = intlinalg.smith_invariant_factors(rows)
-        if any(f != 1 for f in factors):
-            return GoodnessResult(False, face, tuple(factors))
-    return GoodnessResult(True)
+    """Lerman's condition: every face sublattice is saturated in Z^k.
+
+    Returns the first face, in ``proper_faces`` order, whose label rows have
+    an invariant factor other than 1.  The result is cached on the cone;
+    a cone that is not strictly convex raises ``InvalidConeError``.
+    """
+    return cone._goodness
 
 
 def sasaki_cone_contains(cone: Cone, b: Union[ReebVector, RatVec]) -> bool:
@@ -210,6 +229,8 @@ def is_quasi_regular(cone: Cone, b: Union[ReebVector, RatVec]) -> bool:
     test is not sign-decidable over the rationals, but quasi-regularity is
     already settled: such a vector is irregular.
     """
+    if not is_strictly_convex(cone):
+        raise InvalidConeError("quasi-regularity is defined for strictly convex cones")
     b = _coerce_reeb(cone, b)
     direction = b.rational_direction()
     if direction is None:
@@ -226,6 +247,8 @@ def characteristic_polytope(cone: Cone, b: Union[ReebVector, RatVec]) -> Charact
     direction first (flagged in the result); genuinely irrational vectors
     are rejected.
     """
+    if not is_strictly_convex(cone):
+        raise InvalidConeError("slicing requires a strictly convex cone")
     b = _coerce_reeb(cone, b)
     normalized = False
     if b.is_rational:

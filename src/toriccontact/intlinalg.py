@@ -301,16 +301,23 @@ def solve_exact(
 
     When the system is underdetermined, free variables are set to zero.
     """
+    return _solve(a, b)[1]
+
+
+def _solve(
+    a: Sequence[Sequence[Fraction | int]], b: Sequence[Fraction | int]
+) -> tuple[int, Optional[FracVector]]:
+    """``(rank of A, solve_exact(A, b))`` from one elimination of ``[A | b]``."""
     cols = len(a[0]) if a else 0
     red, pivots, d, _ = _eliminate(
         [list(row) + [b[i]] for i, row in enumerate(a)], cols
     )
     if any(row[cols] != 0 for row in red[len(pivots):]):
-        return None
+        return len(pivots), None
     x = [Fraction(0)] * cols
     for row, col in zip(red, pivots):
         x[col] = Fraction(row[cols], d)
-    return tuple(x)
+    return len(pivots), tuple(x)
 
 
 def rational_kernel_basis(

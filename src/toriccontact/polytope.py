@@ -159,12 +159,9 @@ class LabelledPolytope:
         for subset in itertools.combinations(range(d), n):
             rows = [self.facets[i].normal for i in subset]
             rhs = [-self.facets[i].constant for i in subset]
-            if intlinalg.rational_rank(rows) < n:
-                continue
-            x = intlinalg.solve_exact(rows, rhs)
-            if x is None:
-                continue
-            if all(f(x) >= 0 for f in self.facets):
+            # A square system of rank n is always consistent.
+            rank, x = intlinalg._solve(rows, rhs)
+            if rank == n and all(f(x) >= 0 for f in self.facets):
                 found.add(x)
         return tuple(sorted(found))
 

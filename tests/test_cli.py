@@ -34,6 +34,11 @@ def test_cone_slice_and_quasiregular():
     assert body["polytope"]["dim"] == 2
     code, body = run_cli(["cone", "quasiregular", "--reeb", "1/3,1/2,1"], SQUARE_CONE)
     assert code == 0 and body["quasi_regular"]
+    half_space = {"cone": {"dim": 3, "labels": [[1, 0, 0]]},
+                  "reeb": {"rational": ["-1", "5", "0"]}}
+    for command in ("quasiregular", "slice"):
+        code, body = run_cli(["cone", command], half_space)
+        assert code == 2 and body["error"] == "invalid-cone"
 
 
 def test_cone_reduce():

@@ -72,8 +72,11 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd(join_p, "easy-reverse", _join_easy_reverse, help="degree-only reverse join")
 
     pot_p = sub.add_parser("potential", help="symplectic-potential numerics").add_subparsers()
-    cmd(pot_p, "curvature", _pot_curvature, help="Abreu scalar curvature on a grid")
-    cmd(pot_p, "extremal", _pot_extremal, help="extremal affine function and residuals")
+    p = cmd(pot_p, "curvature", _pot_curvature, help="Abreu scalar curvature on a grid")
+    p.add_argument("--grid", type=int, default=16, help="grid points per axis (>= 8)")
+    p = cmd(pot_p, "extremal", _pot_extremal, help="extremal affine function and residuals")
+    p.add_argument("--grid", type=int, default=16, help="grid points per axis (>= 8)")
+    p.add_argument("--tol", type=float, default=1e-6, help="decision tolerance (> 0)")
     cmd(pot_p, "split", _pot_split, help="average split of a product potential")
     return parser
 
@@ -81,8 +84,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def _common_flags(p: argparse.ArgumentParser):
     p.add_argument("--input", default="-", help="input JSON path or - for stdin")
     p.add_argument("--output", default="-", help="output path or - for stdout")
-    p.add_argument("--grid", type=int, default=16, help="grid points per axis (>= 8)")
-    p.add_argument("--tol", type=float, default=1e-6, help="decision tolerance (> 0)")
     p.add_argument("--json-indent", type=int, default=None)
 
 
@@ -106,9 +107,10 @@ def _emit(args, body: dict):
 
 
 def _validate_flags(args):
+    """Check --grid and, where the command takes it, --tol."""
     if args.grid < 8:
         raise InvalidArgumentError("grid resolution must be >= 8")
-    if args.tol <= 0:
+    if "tol" in args and args.tol <= 0:
         raise InvalidArgumentError("tolerance must be positive")
 
 

@@ -5,6 +5,12 @@ closed-form barycentric integral on each simplex.  Facet moments use the
 boundary measure dsigma = (Euclidean surface measure)/||n_i|| determined by
 the wedge relation n_i ^ dsigma = -dmu, which stays rational because only
 ||n_i||^2 enters the simplex formula.
+
+Every call triangulates once: the polytope once for interior moments, each
+facet once for boundary moments, and every requested polynomial is then
+integrated over the same simplices.  The single-monomial and
+single-polynomial functions are views over ``polynomial_moments`` and
+``boundary_polynomial_moments``.
 """
 
 from __future__ import annotations
@@ -86,40 +92,35 @@ def _simplex_monomial_integral(verts: Sequence[Point], alpha: Monomial,
     return scale * out
 
 
-def monomial_moment(poly: LabelledPolytope, alpha: Monomial) -> Fraction:
-    """Exact interior moment integral of x^alpha over the polytope."""
-    if len(alpha) != poly.dim:
+def polynomial_moments(poly: LabelledPolytope,
+                       polys: Iterable[Polynomial]) -> list[Fraction]:
+    """Exact interior moments of several polynomials from one triangulation."""
+    polys = list(polys)
+    if any(len(alpha) != poly.dim for p in polys for alpha in p):
         raise InvalidPolytopeError("monomial exponent has wrong dimension")
-    total = Fraction(0)
-    for simplex in triangulate(poly):
-        vol = simplex_volume(simplex)
-        if vol == 0:
-            continue
-        total += _simplex_monomial_integral(simplex, alpha, vol)
-    return total
+    pieces = [(s, simplex_volume(s)) for s in triangulate(poly)]
+    return _integrate(pieces, polys)
 
 
-def volume(poly: LabelledPolytope) -> Fraction:
-    return monomial_moment(poly, tuple([0] * poly.dim))
+def boundary_polynomial_moments(poly: LabelledPolytope,
+                                polys: Iterable[Polynomial]) -> list[Fraction]:
+    """Exact moments over the whole boundary against dsigma, triangulating
+    each facet once for all the polynomials."""
+    pieces = [piece for i in range(len(poly.facets))
+              for piece in _facet_simplices(poly, i)]
+    return _integrate(pieces, list(polys))
 
 
-def polynomial_moment(poly: LabelledPolytope, coeffs: Polynomial) -> Fraction:
-    return sum(
-        (c * monomial_moment(poly, alpha) for alpha, c in coeffs.items()),
-        Fraction(0),
-    )
-
-
-def facet_sigma_moment(poly: LabelledPolytope, facet_index: int,
-                       alpha: Monomial) -> Fraction:
-    """Moment of x^alpha over one facet against the label-scaled measure."""
+def _facet_simplices(poly: LabelledPolytope,
+                     facet_index: int) -> list[tuple[tuple[Point, ...], Fraction]]:
+    """Simplices of one facet, each with its label-scaled sigma-measure."""
     f = poly.facets[facet_index]
     fverts = [v for v in poly.vertices if f(v) == 0]
     if not fverts:
         raise InvalidPolytopeError("facet carries no vertices")
     n = poly.dim
     norm2 = sum(c * c for c in f.normal)
-    total = Fraction(0)
+    pieces = []
     for simplex in _triangulate_face(poly, fverts, n - 1):
         base = simplex[0]
         rows = [
@@ -130,22 +131,44 @@ def facet_sigma_moment(poly: LabelledPolytope, facet_index: int,
         # sigma-measure of the facet simplex; n_i is orthogonal to the facet,
         # so the determinant factors as (Euclidean volume)*(n-1)!*||n_i||.
         measure = abs(intlinalg.determinant(rows)) / (norm2 * math.factorial(n - 1))
-        if measure == 0:
-            continue
-        total += _simplex_monomial_integral(simplex, alpha, measure)
-    return total
+        pieces.append((simplex, measure))
+    return pieces
+
+
+def _integrate(pieces, polys: list[Polynomial]) -> list[Fraction]:
+    """Integrate each polynomial over the union of (simplex, measure) pieces,
+    each distinct monomial once per simplex."""
+    moment = {
+        alpha: sum((_simplex_monomial_integral(s, alpha, m) for s, m in pieces), Fraction(0))
+        for alpha in {alpha for p in polys for alpha in p}
+    }
+    return [sum((c * moment[alpha] for alpha, c in p.items()), Fraction(0))
+            for p in polys]
+
+
+def monomial_moment(poly: LabelledPolytope, alpha: Monomial) -> Fraction:
+    """Exact interior moment integral of x^alpha over the polytope."""
+    return polynomial_moment(poly, {tuple(alpha): 1})
+
+
+def volume(poly: LabelledPolytope) -> Fraction:
+    return monomial_moment(poly, tuple([0] * poly.dim))
+
+
+def polynomial_moment(poly: LabelledPolytope, coeffs: Polynomial) -> Fraction:
+    return polynomial_moments(poly, [coeffs])[0]
+
+
+def facet_sigma_moment(poly: LabelledPolytope, facet_index: int,
+                       alpha: Monomial) -> Fraction:
+    """Moment of x^alpha over one facet against the label-scaled measure."""
+    return _integrate(_facet_simplices(poly, facet_index), [{tuple(alpha): 1}])[0]
 
 
 def boundary_moment(poly: LabelledPolytope, alpha: Monomial) -> Fraction:
     """Moment of x^alpha over the whole boundary against dsigma."""
-    return sum(
-        (facet_sigma_moment(poly, i, alpha) for i in range(len(poly.facets))),
-        Fraction(0),
-    )
+    return boundary_polynomial_moment(poly, {tuple(alpha): 1})
 
 
 def boundary_polynomial_moment(poly: LabelledPolytope, coeffs: Polynomial) -> Fraction:
-    return sum(
-        (c * boundary_moment(poly, alpha) for alpha, c in coeffs.items()),
-        Fraction(0),
-    )
+    return boundary_polynomial_moments(poly, [coeffs])[0]

@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 import sympy as sp
 
-from . import moments
+from . import intlinalg, moments
 from .errors import (
     InvalidArgumentError,
     InvalidPolytopeError,
@@ -84,9 +84,6 @@ class RelativePotential:
         if self.expr is not None:
             xs = _coords(dim)
             self._value = sp.lambdify(xs, self.expr, "numpy")
-            self._grad = [
-                sp.lambdify(xs, sp.diff(self.expr, xi), "numpy") for xi in xs
-            ]
             self._hess = [
                 [sp.lambdify(xs, sp.diff(self.expr, xi, xj), "numpy") for xj in xs]
                 for xi in xs
@@ -133,13 +130,6 @@ class RelativePotential:
         if self.expr is not None:
             return float(self._value(*x))
         return self._spline_eval(x, ())
-
-    def gradient(self, x) -> np.ndarray:
-        if self.expr is not None:
-            return np.array([float(g(*x)) for g in self._grad])
-        return np.array(
-            [self._spline_eval(x, (i,)) for i in range(self.dim)]
-        )
 
     def hessian(self, x) -> np.ndarray:
         if self.expr is not None:
@@ -356,19 +346,11 @@ def _affine_basis(n: int) -> list[dict]:
 def extremal_affine_function(poly: LabelledPolytope) -> ExtremalAffine:
     """The unique affine R_E with int f R_E dmu = 2 int_boundary f dsigma
     for every affine f, solved exactly from rational moments."""
-    n = poly.dim
-    basis = _affine_basis(n)
-    gram = [
-        [
-            moments.polynomial_moment(poly, _poly_mul(basis[a], basis[b]))
-            for b in range(n + 1)
-        ]
-        for a in range(n + 1)
-    ]
-    rhs = [2 * moments.boundary_polynomial_moment(poly, basis[a])
-           for a in range(n + 1)]
-    from . import intlinalg
-
+    basis = _affine_basis(poly.dim)
+    m = len(basis)
+    flat = moments.polynomial_moments(poly, [_poly_mul(a, b) for a in basis for b in basis])
+    gram = [flat[a * m:(a + 1) * m] for a in range(m)]
+    rhs = [2 * c for c in moments.boundary_polynomial_moments(poly, basis)]
     sol = intlinalg.solve_exact(gram, rhs)
     if sol is None:
         raise InvalidPolytopeError("degenerate moment system")
@@ -476,20 +458,10 @@ def _boundary_pairing(poly: LabelledPolytope, f: RelativePotential) -> float:
         coeffs = _poly_coeffs(f)
         return float(moments.boundary_polynomial_moment(poly, coeffs))
     total = 0.0
-    n = poly.dim
-    for i, facet in enumerate(poly.facets):
-        fverts = [v for v in poly.vertices if facet(v) == 0]
-        norm2 = float(sum(c * c for c in facet.normal))
-        for s in moments._triangulate_face(poly, fverts, n - 1):
-            verts = [np.array([float(c) for c in v]) for v in s]
-            m = len(verts) - 1
-            rows = [verts[j + 1] - verts[0] for j in range(m)]
-            rows.append(np.array([float(c) for c in facet.normal]))
-            measure = abs(float(np.linalg.det(np.array(rows)))) / (
-                norm2 * math.factorial(max(m, 1))
-            ) if m > 0 else abs(float(facet.normal[0])) / norm2
-            c = np.mean(verts, axis=0)
-            total += measure * f.value(tuple(c))
+    for i in range(len(poly.facets)):
+        for s, measure in moments._facet_simplices(poly, i):
+            c = np.mean(np.asarray(s, float), axis=0)
+            total += float(measure) * f.value(tuple(c))
     return total
 
 
@@ -519,13 +491,14 @@ def average_split(f: RelativePotential, p1: LabelledPolytope,
         raise NotAProductError("function dimension does not match the product")
     if f.is_polynomial:
         coeffs = _poly_coeffs(f)
-        vol1, vol2 = moments.volume(p1), moments.volume(p2)
+        vol1, *m1s = moments.polynomial_moments(
+            p1, [{(0,) * n1: 1}] + [{alpha[:n1]: 1} for alpha in coeffs])
+        vol2, *m2s = moments.polynomial_moments(
+            p2, [{(0,) * n2: 1}] + [{alpha[n1:]: 1} for alpha in coeffs])
         c1: dict = {}
         c2: dict = {}
-        for alpha, c in coeffs.items():
+        for (alpha, c), m1, m2 in zip(coeffs.items(), m1s, m2s):
             a1, a2 = alpha[:n1], alpha[n1:]
-            m2 = moments.monomial_moment(p2, a2)
-            m1 = moments.monomial_moment(p1, a1)
             c1[a1] = c1.get(a1, Fraction(0)) + c * m2 / vol2
             c2[a2] = c2.get(a2, Fraction(0)) + c * m1 / vol1
         return (_poly_potential(n1, c1), _poly_potential(n2, c2))
@@ -587,14 +560,12 @@ def split_defect(f: RelativePotential, f1: RelativePotential,
         key = tuple([0] * n1) + alpha
         g[key] = g.get(key, Fraction(0)) - c
     basis = _affine_basis(n)
-    gram = [
-        [moments.polynomial_moment(big, _poly_mul(a, b)) for b in basis]
-        for a in basis
-    ]
-    s = [moments.polynomial_moment(big, _poly_mul(g, a)) for a in basis]
-    g2 = moments.polynomial_moment(big, _poly_mul(g, g))
-    from . import intlinalg
-
+    m = len(basis)
+    *flat, g2 = moments.polynomial_moments(
+        big, [_poly_mul(a, b) for a in basis for b in basis]
+        + [_poly_mul(g, a) for a in basis] + [_poly_mul(g, g)])
+    gram = [flat[a * m:(a + 1) * m] for a in range(m)]
+    s = flat[m * m:]
     sol = intlinalg.solve_exact(gram, s)
     if sol is None:
         raise InvalidPolytopeError("degenerate moment system")

@@ -10,7 +10,6 @@ certificate, and the weighted-projective weights.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -68,8 +67,12 @@ def find_simplex_product_partition(cone: Cone) -> Optional[SimplexProductPartiti
 
     A product-of-simplices cone in dimension k has exactly k+1 labels and
     (n1+1)(n2+1) extreme rays, each ray omitting exactly one label from each
-    group.  Returns the first valid partition in lexicographic order, or
-    None when the cone is not of product type.
+    group.  The k+1 labels satisfy one linear relation sum_i lam_i l_i = 0;
+    pairing it with the ray that omits i in group 1 and j in group 2 gives
+    lam_i <l_i, r> = -lam_j <l_j, r>, so every valid partition is the sign
+    pattern of lam, with no zero entry.  Returns that partition (index 0 in
+    group 1) when it matches the rays, or None when the cone is not of
+    product type.
     """
     good = cone_mod.is_good(cone)
     if not good:
@@ -77,19 +80,14 @@ def find_simplex_product_partition(cone: Cone) -> Optional[SimplexProductPartiti
     k, d = cone.dim, len(cone.labels)
     if d != k + 1:
         return None
-    actives = cone.ray_active_sets
-    indices = range(d)
-    for size1 in range(2, d - 1):
-        for group1 in itertools.combinations(indices, size1):
-            g1 = frozenset(group1)
-            g2 = frozenset(indices) - g1
-            if min(group1) != 0:
-                continue  # unordered pair: fix index 0 in group 1
-            if _partition_matches(actives, g1, g2):
-                return SimplexProductPartition(
-                    tuple(sorted(g1)), tuple(sorted(g2))
-                )
-    return None
+    (lam,) = intlinalg.rational_kernel_basis(
+        [[l[r] for l in cone.labels] for r in range(k)]
+    )
+    g1 = frozenset(i for i in range(d) if (lam[i] > 0) == (lam[0] > 0))
+    g2 = frozenset(range(d)) - g1
+    if min(len(g1), len(g2)) < 2 or not _partition_matches(cone.ray_active_sets, g1, g2):
+        return None
+    return SimplexProductPartition(tuple(sorted(g1)), tuple(sorted(g2)))
 
 
 def _partition_matches(actives, g1: frozenset, g2: frozenset) -> bool:

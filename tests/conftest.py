@@ -69,6 +69,17 @@ def apply_unimodular(cone: tc.Cone, u: list[list[int]]) -> tc.Cone:
     return tc.Cone(k, labels)
 
 
+def simplex_product_cone(a, b):
+    """Cone over Delta_a x Delta_b with labels x_j >= 0 and 1 - sum x_j >= 0."""
+    k = a + b + 1
+    labels = []
+    for start, n in ((0, a), (a, b)):
+        labels += [tuple(int(c == start + j) for c in range(k)) for j in range(n)]
+        labels.append(tuple(-1 if start <= c < start + n else int(c == k - 1)
+                            for c in range(k)))
+    return tc.Cone(k, tuple(labels))
+
+
 @pytest.fixture
 def square_cone() -> tc.Cone:
     """The good cone over the unit square."""

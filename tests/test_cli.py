@@ -1,12 +1,21 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
+
+import toriccontact
+
+# The subprocesses import the same checkout as the tests, installed or not.
+SRC = str(Path(toriccontact.__file__).resolve().parents[1])
+ENV = {**os.environ,
+       "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
 
 
 def run_cli(args, payload):
     proc = subprocess.run(
         [sys.executable, "-m", "toriccontact.cli", *args],
-        input=json.dumps(payload), capture_output=True, text=True,
+        input=json.dumps(payload), capture_output=True, text=True, env=ENV,
     )
     return proc.returncode, json.loads(proc.stdout) if proc.stdout else None
 
@@ -101,7 +110,7 @@ def test_potential_split():
 def test_input_error_exit_2():
     proc = subprocess.run(
         [sys.executable, "-m", "toriccontact.cli", "cone", "check"],
-        input="not json", capture_output=True, text=True,
+        input="not json", capture_output=True, text=True, env=ENV,
     )
     assert proc.returncode == 2
     body = json.loads(proc.stdout)
@@ -115,13 +124,23 @@ def test_flag_validation_exit_2():
     assert code == 2 and body["error"] == "invalid-argument"
 
 
+def test_grid_and_tol_only_where_read():
+    # argparse rejects a flag the command does not take, with exit code 2
+    code, body = run_cli(["cone", "check", "--tol", "1"], SQUARE_CONE)
+    assert code == 2 and body is None
+    code, body = run_cli(["potential", "curvature", "--tol", "1"], {"polytope": SEGMENT})
+    assert code == 2 and body is None
+    code, body = run_cli(["potential", "extremal", "--tol", "0"], {"polytope": SEGMENT})
+    assert code == 2 and body["error"] == "invalid-argument"
+
+
 def test_output_determinism():
     a = subprocess.run(
         [sys.executable, "-m", "toriccontact.cli", "cone", "reduce"],
-        input=json.dumps(SQUARE_CONE), capture_output=True, text=True,
+        input=json.dumps(SQUARE_CONE), capture_output=True, text=True, env=ENV,
     )
     b = subprocess.run(
         [sys.executable, "-m", "toriccontact.cli", "cone", "reduce"],
-        input=json.dumps(SQUARE_CONE), capture_output=True, text=True,
+        input=json.dumps(SQUARE_CONE), capture_output=True, text=True, env=ENV,
     )
     assert a.stdout == b.stdout

@@ -15,7 +15,7 @@ from toriccontact.errors import (
 )
 from toriccontact.intlinalg import primitive_part
 
-from conftest import apply_unimodular, rand_unimodular
+from conftest import apply_unimodular, rand_unimodular, simplex_product_cone
 
 
 def brute_force_faces(cone):
@@ -28,17 +28,6 @@ def brute_force_faces(cone):
             seen.add(frozenset.intersection(*combo))
     seen.discard(frozenset())
     return sorted((tuple(sorted(s)) for s in seen), key=lambda t: (len(t), t))
-
-
-def simplex_product_cone(a, b):
-    """Cone over Delta_a x Delta_b with labels x_j >= 0 and 1 - sum x_j >= 0."""
-    k = a + b + 1
-    labels = []
-    for start, n in ((0, a), (a, b)):
-        labels += [tuple(int(c == start + j) for c in range(k)) for j in range(n)]
-        labels.append(tuple(-1 if start <= c < start + n else int(c == k - 1)
-                            for c in range(k)))
-    return tc.Cone(k, tuple(labels))
 
 
 def cube_cone(n):

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -86,3 +88,39 @@ def test_triangulation_covers_volume():
         p = rand_characteristic_simplex(2, rng)
         parts = moments.triangulate(p)
         assert sum(moments.simplex_volume(s) for s in parts) == moments.volume(p)
+
+
+def test_batched_interior_moments_match_closed_forms():
+    # int_{r Delta_n} x^alpha = r^(n+|alpha|) alpha! / (n+|alpha|)! and
+    # int_{[0,1]^n} x^alpha = prod 1/(alpha_i+1), all from one call each
+    for n, r in ((1, 1), (2, 3), (3, 2)):
+        alphas = list(itertools.product(range(3), repeat=n))
+        polys = [{a: Fraction(1)} for a in alphas] + [{alphas[1]: 2, alphas[-1]: -3}]
+        simplex = [
+            Fraction(r) ** (n + sum(a)) * math.prod(map(math.factorial, a))
+            / math.factorial(n + sum(a))
+            for a in alphas
+        ]
+        box = [math.prod(Fraction(1, ai + 1) for ai in a) for a in alphas]
+        for poly, exact in ((tc.standard_simplex(n).rescale(r), simplex),
+                            (tc.unit_box(n), box)):
+            got = moments.polynomial_moments(poly, polys)
+            assert got == exact + [2 * exact[1] - 3 * exact[-1]]
+
+
+def test_batched_boundary_moments():
+    box = tc.unit_box(2)
+    polys = [{(0, 0): 1}, {(1, 0): 1}, {(0, 0): 2, (1, 0): -1}]
+    assert moments.boundary_polynomial_moments(box, polys) == [4, 2, 6]
+    seg = tc.segment((1, 2))
+    assert moments.boundary_polynomial_moments(seg, [{(0,): 1}, {(1,): 1}]) == [
+        Fraction(3, 2), Fraction(1, 2)]
+
+
+def test_extremal_affine_function_triangulates_once(monkeypatch):
+    calls = []
+    real = moments.triangulate
+    monkeypatch.setattr(moments, "triangulate",
+                        lambda poly: calls.append(poly) or real(poly))
+    tc.extremal_affine_function(tc.unit_box(2))
+    assert len(calls) == 1

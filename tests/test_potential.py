@@ -125,6 +125,17 @@ def test_donaldson_identity_segment():
         assert tc.donaldson_identity_check(u, f, refine=2) < 1e-10
 
 
+def test_boundary_pairing_non_polynomial():
+    # centroid rule on each facet simplex against dsigma, f = exp(x0)
+    e = math.e
+    for poly, expected in ((tc.segment(), 1 + e),
+                           (tc.segment((2, 3)), 0.5 + e / 3),
+                           (tc.unit_box(2), 1 + e + 2 * math.sqrt(e))):
+        f = pot.RelativePotential(poly.dim, sp.exp(X0))
+        assert not f.is_polynomial
+        assert abs(pot._boundary_pairing(poly, f) - expected) < 1e-12
+
+
 def test_donaldson_convergence_square():
     u = tc.SymplecticPotential.canonical(tc.unit_box(2))
     for expr in (X0 ** 2, X0 * X1):

@@ -1,12 +1,70 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import toriccontact as tc
 from toriccontact.errors import InvalidConeError, InvalidPartitionError
+from toriccontact.intlinalg import primitive_part
+from toriccontact.reduction import _partition_matches
 
-from conftest import apply_unimodular, rand_characteristic_product, rand_unimodular
+from conftest import (
+    apply_unimodular,
+    rand_characteristic_product,
+    rand_unimodular,
+    simplex_product_cone,
+)
+
+
+def brute_force_partition(cone):
+    """Reference for ``find_simplex_product_partition`` on a good cone: the
+    first label bipartition, index 0 in group 1, matching the ray active
+    sets (2^labels candidates)."""
+    d = len(cone.labels)
+    if d != cone.dim + 1:
+        return None
+    for size1 in range(2, d - 1):
+        for group1 in itertools.combinations(range(d), size1):
+            if group1[0] != 0:
+                continue
+            g1 = frozenset(group1)
+            g2 = frozenset(range(d)) - g1
+            if _partition_matches(cone.ray_active_sets, g1, g2):
+                return tc.SimplexProductPartition(group1, tuple(sorted(g2)))
+    return None
+
+
+@st.composite
+def good_cones(draw):
+    """GL(k, Z) images of Delta_a x Delta_b cones with shuffled labels, and
+    random good cones with k+1 labels in dimension k = 3 or 4."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        cone = simplex_product_cone(draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+        labels = list(apply_unimodular(cone, rand_unimodular(cone.dim, rng)).labels)
+        rng.shuffle(labels)
+        return tc.Cone(cone.dim, tuple(labels))
+    k = draw(st.integers(3, 4))
+    while True:
+        # A positive last entry keeps (0, ..., 0, 1) interior.
+        labels = {
+            primitive_part([rng.randint(-2, 2) for _ in range(k - 1)]
+                           + [rng.randint(1, 3)])
+            for _ in range(k + 1)
+        }
+        cone = tc.Cone(k, tuple(sorted(labels)))
+        if (len(labels) == k + 1 and tc.is_strictly_convex(cone)
+                and tc.is_good(cone).good):
+            return cone
+
+
+@settings(max_examples=80, deadline=None)
+@given(good_cones())
+def test_partition_matches_brute_force(cone):
+    assert tc.find_simplex_product_partition(cone) == brute_force_partition(cone)
 
 
 def test_square_cone_partition(square_cone):

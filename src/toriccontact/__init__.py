@@ -1,5 +1,13 @@
 """Exact decision procedures for toric contact/Sasaki geometry plus a
-numerical layer for extremal symplectic potentials."""
+numerical layer for extremal symplectic potentials.
+
+Importing the package loads only the exact layer. The float layer
+(`toriccontact.potential`, which needs numpy, and sympy for expressions) loads
+on first access to one of its names (PEP 562), so the exact decision
+procedures start without it.
+"""
+
+import importlib as _importlib
 
 from .cone import (
     CharacteristicSlice,
@@ -34,20 +42,6 @@ from .polytope import (
     segment,
     standard_simplex,
     unit_box,
-)
-from .potential import (
-    ExtremalAffine,
-    ExtremalReport,
-    Grid,
-    RelativePotential,
-    SymplecticPotential,
-    abreu_scalar_curvature,
-    average_split,
-    donaldson_identity_check,
-    extremal_affine_function,
-    extremality_residual,
-    guillemin_eval,
-    split_defect,
 )
 from .reduction import (
     SimplexProductPartition,
@@ -108,3 +102,33 @@ __all__ = [
     "standard_simplex",
     "unit_box",
 ]
+
+_POTENTIAL_NAMES = frozenset({
+    "ExtremalAffine",
+    "ExtremalReport",
+    "Grid",
+    "RelativePotential",
+    "SymplecticPotential",
+    "abreu_scalar_curvature",
+    "average_split",
+    "donaldson_identity_check",
+    "extremal_affine_function",
+    "extremality_residual",
+    "guillemin_eval",
+    "split_defect",
+})
+# Submodules that were package attributes while the float layer loaded eagerly.
+_SUBMODULES = frozenset({"moments", "potential"})
+
+
+def __getattr__(name):
+    if name in _POTENTIAL_NAMES:
+        return getattr(_importlib.import_module(".potential", __name__), name)
+    if name in _SUBMODULES:
+        return _importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    hidden = {"_importlib", "_POTENTIAL_NAMES", "_SUBMODULES", "__getattr__", "__dir__"}
+    return sorted((set(globals()) - hidden) | _POTENTIAL_NAMES | _SUBMODULES)

@@ -15,7 +15,6 @@ from fractions import Fraction
 
 from . import cone as cone_mod
 from . import join as join_mod
-from . import potential as pot_mod
 from . import reduction
 from .errors import InvalidArgumentError, ToricError
 from .polytope import LabelledPolytope, frac, frac_str
@@ -250,9 +249,13 @@ def _join_easy_reverse(args):
 
 
 # -- potential ----------------------------------------------------------------
+# The float layer is imported here only, so the exact commands above start
+# without numpy and sympy.
 
 
 def _load_potential(data) -> pot_mod.SymplecticPotential:
+    from . import potential as pot_mod
+
     poly = LabelledPolytope.from_json(data["polytope"])
     if "relative" in data and data["relative"] is not None:
         rel = pot_mod.RelativePotential.from_expression(poly.dim, data["relative"])
@@ -262,6 +265,8 @@ def _load_potential(data) -> pot_mod.SymplecticPotential:
 
 
 def _pot_curvature(args):
+    from . import potential as pot_mod
+
     _validate_flags(args)
     u = _load_potential(_read_input(args))
     grid = pot_mod.Grid.interior(u.polytope, args.grid)
@@ -273,6 +278,8 @@ def _pot_curvature(args):
 
 
 def _pot_extremal(args):
+    from . import potential as pot_mod
+
     _validate_flags(args)
     u = _load_potential(_read_input(args))
     grid = pot_mod.Grid.interior(u.polytope, args.grid)
@@ -284,6 +291,8 @@ def _pot_extremal(args):
 
 
 def _pot_split(args):
+    from . import potential as pot_mod
+
     d = _read_input(args)
     p1 = LabelledPolytope.from_json(d["p1"])
     p2 = LabelledPolytope.from_json(d["p2"])

@@ -172,6 +172,12 @@ class LabelledPolytope:
             for v in self.vertices
         )
 
+    @cached_property
+    def _float_labels(self) -> tuple[tuple[tuple[float, ...], ...], tuple[float, ...]]:
+        """Normals and constants rounded to floats, for pointwise numerics."""
+        return (tuple(tuple(float(c) for c in f.normal) for f in self.facets),
+                tuple(float(f.constant) for f in self.facets))
+
     def combinatorial_type(self) -> CombinatorialType:
         return CombinatorialType.from_incidence(
             self.vertex_facet_incidence, len(self.facets)

@@ -5,18 +5,25 @@ identity, and the averaging split of potentials on product polytopes.
 Exact rational moments do all the linear algebra that must be exact (the
 extremal affine function, boundary pairings, least-squares projections);
 floating point enters only through pointwise curvature evaluation, which uses
-fourth-order central finite differences of the inverse Hessian.
+fourth-order central finite differences of the inverse Hessian. Pointwise
+evaluation reads the labels as float normal and constant arrays.
+
+Importing this module loads numpy. sympy loads only where an expression is
+parsed, differentiated or expanded: `expression_from_json`, a relative
+potential with a non-zero closed form, and the exact polynomial paths of
+`average_split`, `split_defect` and the Donaldson boundary pairing. The
+canonical potential (`RelativePotential.zero`) needs no sympy.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
-import sympy as sp
 
 from . import intlinalg, moments
 from .errors import (
@@ -26,7 +33,10 @@ from .errors import (
     NotConvexHereError,
     OutOfDomainError,
 )
-from .polytope import AffineFunction, LabelledPolytope, frac, frac_str
+from .polytope import LabelledPolytope, frac, frac_str
+
+if TYPE_CHECKING:
+    import sympy as sp
 
 
 # --------------------------------------------------------------------------
@@ -34,11 +44,15 @@ from .polytope import AffineFunction, LabelledPolytope, frac, frac_str
 
 
 def _coords(dim: int) -> list[sp.Symbol]:
+    import sympy as sp
+
     return [sp.Symbol(f"x{i}", real=True) for i in range(dim)]
 
 
 def expression_from_json(node: dict, dim: int) -> sp.Expr:
     """Expression tree with node kinds const/coord/add/mul/pow/log."""
+    import sympy as sp
+
     kind = node.get("kind")
     xs = _coords(dim)
     if kind == "const":
@@ -68,30 +82,41 @@ class RelativePotential:
 
     Backed either by a closed-form expression (analytic derivatives) or by
     grid samples interpolated with a degree >= 5 spline so that the fourth
-    derivative of the curvature pipeline exists.
+    derivative of the curvature pipeline exists. An exact rational zero
+    (int, Fraction or sympy 0) is kept as a number: it evaluates without
+    sympy, and `expr` builds sympy's 0 only when read.
     """
 
     def __init__(self, dim: int, expr: Optional[sp.Expr] = None,
                  spline=None, spline_degree: Optional[int] = None):
         self.dim = dim
-        if expr is not None:
-            names = {s.name: s for s in _coords(dim)}
-            self.expr = sp.sympify(expr, locals=names)
-        else:
-            self.expr = None
+        self._zero = isinstance(expr, numbers.Rational) and expr == 0
+        self._expr = None
         self._spline = spline
         self.spline_degree = spline_degree
-        if self.expr is not None:
+        if expr is not None and not self._zero:
+            import sympy as sp
+
             xs = _coords(dim)
-            self._value = sp.lambdify(xs, self.expr, "numpy")
+            self._expr = sp.sympify(expr, locals={s.name: s for s in xs})
+            self._value = sp.lambdify(xs, self._expr, "numpy")
             self._hess = [
-                [sp.lambdify(xs, sp.diff(self.expr, xi, xj), "numpy") for xj in xs]
+                [sp.lambdify(xs, sp.diff(self._expr, xi, xj), "numpy") for xj in xs]
                 for xi in xs
             ]
 
+    @property
+    def expr(self) -> Optional[sp.Expr]:
+        """The closed form as a sympy expression; None for a spline."""
+        if self._zero:
+            import sympy as sp
+
+            return sp.Integer(0)
+        return self._expr
+
     @classmethod
     def zero(cls, dim: int) -> "RelativePotential":
-        return cls(dim, sp.Integer(0))
+        return cls(dim, 0)
 
     @classmethod
     def from_expression(cls, dim: int, expr) -> "RelativePotential":
@@ -123,16 +148,21 @@ class RelativePotential:
 
     @property
     def is_polynomial(self) -> bool:
-        xs = _coords(self.dim)
-        return self.expr is not None and self.expr.is_polynomial(*xs)
+        if self._zero:
+            return True
+        return self._expr is not None and self._expr.is_polynomial(*_coords(self.dim))
 
     def value(self, x) -> float:
-        if self.expr is not None:
+        if self._zero:
+            return 0.0
+        if self._expr is not None:
             return float(self._value(*x))
         return self._spline_eval(x, ())
 
     def hessian(self, x) -> np.ndarray:
-        if self.expr is not None:
+        if self._zero:
+            return np.zeros((self.dim, self.dim))
+        if self._expr is not None:
             return np.array(
                 [[float(self._hess[i][j](*x)) for j in range(self.dim)]
                  for i in range(self.dim)]
@@ -262,29 +292,33 @@ class ExtremalReport:
 # pointwise evaluation
 
 
+def _label_values(poly: LabelledPolytope, x) -> tuple[np.ndarray, np.ndarray]:
+    """The float normals (one row per facet) and the labels l_i(x) in floats."""
+    normals, constants = poly._float_labels
+    normals = np.array(normals)
+    return normals, normals @ np.asarray(x, float) + constants
+
+
 def guillemin_eval(poly: LabelledPolytope, x) -> tuple[float, np.ndarray, np.ndarray]:
-    """Value, gradient and Hessian of u0 = 1/2 sum l_i log l_i at x."""
-    n = poly.dim
-    value = 0.0
-    grad = np.zeros(n)
-    hess = np.zeros((n, n))
-    for f in poly.facets:
-        li = float(f(x))
-        if li <= 0:
-            raise OutOfDomainError("point is not strictly interior")
-        nv = np.array([float(c) for c in f.normal])
-        value += 0.5 * li * math.log(li)
-        grad += 0.5 * (math.log(li) + 1.0) * nv
-        hess += 0.5 * np.outer(nv, nv) / li
+    """Value, gradient and Hessian of u0 = 1/2 sum l_i log l_i at x.
+
+    The Hessian adds the facets' terms 1/2 n n^T / l in facet order, so it is
+    exactly symmetric.
+    """
+    normals, ls = _label_values(poly, x)
+    if not (ls > 0).all():
+        raise OutOfDomainError("point is not strictly interior")
+    logs = np.log(ls)
+    value = float(np.sum(0.5 * ls * logs))
+    grad = 0.5 * (logs + 1.0) @ normals
+    hess = (0.5 * normals[:, :, None] * normals[:, None, :] / ls[:, None, None]).sum(axis=0)
     return value, grad, hess
 
 
 def _fd_step(poly: LabelledPolytope, x) -> float:
-    lmin = min(float(f(x)) for f in poly.facets)
-    nmax = max(
-        math.sqrt(sum(float(c) ** 2 for c in f.normal)) for f in poly.facets
-    )
-    return lmin / (6.0 * nmax)
+    normals, ls = _label_values(poly, x)
+    nmax = np.sqrt((normals ** 2).sum(axis=1)).max()
+    return float(ls.min() / (6.0 * nmax))
 
 
 _D1 = {-2: 1.0 / 12, -1: -8.0 / 12, 1: 8.0 / 12, 2: -1.0 / 12}
@@ -369,15 +403,13 @@ def _poly_mul(p: dict, q: dict) -> dict:
 def extremality_residual(u: SymplecticPotential, grid: Grid) -> ExtremalReport:
     """Sup and rms norms of R_u - R_E over the grid."""
     re = extremal_affine_function(u.polytope)
-    diffs = []
-    for x in grid.points:
-        r = abreu_scalar_curvature(u, x)
-        diffs.append(r - float(re(x)))
-    arr = np.array(diffs)
+    points = np.array(grid.points, float).reshape(len(grid.points), u.polytope.dim)
+    re_values = points @ np.array([float(c) for c in re.normal]) + float(re.constant)
+    arr = np.array([abreu_scalar_curvature(u, x) for x in grid.points]) - re_values
     return ExtremalReport(
         re,
-        float(np.max(np.abs(arr))) if diffs else 0.0,
-        float(np.sqrt(np.mean(arr ** 2))) if diffs else 0.0,
+        float(np.max(np.abs(arr))) if arr.size else 0.0,
+        float(np.sqrt(np.mean(arr ** 2))) if arr.size else 0.0,
         grid.per_axis,
         grid.margin_cells,
     )
@@ -466,6 +498,8 @@ def _boundary_pairing(poly: LabelledPolytope, f: RelativePotential) -> float:
 
 
 def _poly_coeffs(f: RelativePotential) -> dict:
+    import sympy as sp
+
     xs = _coords(f.dim)
     p = sp.Poly(sp.expand(f.expr), *xs)
     out = {}
@@ -511,6 +545,8 @@ def average_split(f: RelativePotential, p1: LabelledPolytope,
 
 
 def _poly_potential(dim: int, coeffs: dict) -> RelativePotential:
+    import sympy as sp
+
     xs = _coords(dim)
     expr = sp.Integer(0)
     for alpha, c in coeffs.items():

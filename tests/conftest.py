@@ -1,16 +1,23 @@
-"""Shared random generators for the test suite.
+"""Shared random generators and subprocess environment for the test suite.
 
 All randomness is seeded per test; generators produce exact integer/rational
 data so every decision they feed stays exact.
 """
 
 import math
+import os
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import toriccontact as tc
+
+# Subprocesses import the same checkout as the tests, installed or not.
+SRC = str(Path(tc.__file__).resolve().parents[1])
+ENV = {**os.environ,
+       "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
 
 
 def rand_unimodular(k: int, rng: random.Random, shears: int = 4,

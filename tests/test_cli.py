@@ -1,15 +1,8 @@
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
-import toriccontact
-
-# The subprocesses import the same checkout as the tests, installed or not.
-SRC = str(Path(toriccontact.__file__).resolve().parents[1])
-ENV = {**os.environ,
-       "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
+from conftest import ENV
 
 
 def run_cli(args, payload):

@@ -37,6 +37,97 @@ def test_guillemin_square_center():
     assert np.allclose(g, 0.0)
 
 
+def guillemin_exact_labels(poly, x):
+    """Reference: each label evaluated exactly in Fractions, then rounded once."""
+    n = poly.dim
+    value = 0.0
+    grad = np.zeros(n)
+    hess = np.zeros((n, n))
+    for f in poly.facets:
+        li = float(f(x))
+        nv = np.array([float(c) for c in f.normal])
+        value += 0.5 * li * math.log(li)
+        grad += 0.5 * (math.log(li) + 1.0) * nv
+        hess += 0.5 * np.outer(nv, nv) / li
+    return value, grad, hess
+
+
+def random_rational_polytope(rng):
+    """A random characteristic simplex, product or cut square, translated by a
+    rational vector, with every label scaled by its own positive rational."""
+    from conftest import rand_characteristic_simplex
+
+    kind = rng.randrange(3)
+    if kind == 0:
+        p = rand_characteristic_simplex(rng.randint(1, 3), rng)
+    elif kind == 1:
+        p = tc.product(rand_characteristic_simplex(1, rng),
+                       rand_characteristic_simplex(rng.randint(1, 2), rng))
+    else:
+        a, b = Fraction(rng.randint(2, 9), 3), Fraction(rng.randint(2, 9), 4)
+        cut = Fraction(rng.randint(1, 9), 10)
+        p = tc.LabelledPolytope(2, [
+            tc.AffineFunction((1, 0), 0), tc.AffineFunction((-1, 0), a),
+            tc.AffineFunction((0, 1), 0), tc.AffineFunction((0, -1), b),
+            tc.AffineFunction((-1, -1), a + b - cut * min(a, b)),
+        ])
+    t = [Fraction(rng.randint(-20, 20), rng.randint(1, 7)) for _ in range(p.dim)]
+    facets = []
+    for f in p.facets:
+        r = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+        shifted = f.constant - sum(nc * ti for nc, ti in zip(f.normal, t))
+        facets.append(tc.AffineFunction(tuple(r * c for c in f.normal), r * shifted))
+    return tc.LabelledPolytope(p.dim, facets)
+
+
+def random_interior_point(poly, rng):
+    weights = [rng.uniform(1.0, 2.0) for _ in poly.vertices]
+    total = sum(weights)
+    return tuple(sum(w * float(v[i]) for w, v in zip(weights, poly.vertices)) / total
+                 for i in range(poly.dim))
+
+
+def test_guillemin_float_labels_match_exact_labels():
+    rng = random.Random(12)
+    for _ in range(40):
+        poly = random_rational_polytope(rng)
+        for _ in range(5):
+            x = random_interior_point(poly, rng)
+            v, g, h = tc.guillemin_eval(poly, x)
+            rv, rg, rh = guillemin_exact_labels(poly, x)
+            # relative to the size of the summed terms, which may cancel
+            ls = [float(f(x)) for f in poly.facets]
+            normals = [np.array([float(c) for c in f.normal]) for f in poly.facets]
+            v_scale = sum(abs(0.5 * li * math.log(li)) for li in ls)
+            g_scale = sum(abs(0.5 * (math.log(li) + 1.0)) * np.linalg.norm(nv)
+                          for li, nv in zip(ls, normals))
+            h_scale = sum(0.5 * (nv @ nv) / li for li, nv in zip(ls, normals))
+            assert abs(v - rv) <= 1e-12 * v_scale
+            assert np.linalg.norm(g - rg) <= 1e-12 * g_scale
+            assert np.linalg.norm(h - rh) <= 1e-12 * h_scale
+
+
+def test_zero_relative_potential():
+    for n in (1, 2, 3):
+        z = tc.RelativePotential.zero(n)
+        assert z.expr == 0 and z.expr == sp.Integer(0)
+        assert z.is_polynomial
+        assert z.value((0.3,) * n) == 0.0
+        assert np.array_equal(z.hessian((0.3,) * n), np.zeros((n, n)))
+    # canonical Hessians: the Guillemin Hessian plus nothing, bit for bit where
+    # every normal is a signed unit vector (boxes and segments)
+    rng = random.Random(5)
+    for poly in (tc.segment(), tc.segment((1, 2)), tc.unit_box(2), tc.unit_box(3)):
+        u = tc.SymplecticPotential.canonical(poly)
+        for _ in range(5):
+            x = random_interior_point(poly, rng)
+            assert np.array_equal(u.hessian(x), guillemin_exact_labels(poly, x)[2])
+    poly = tc.standard_simplex(2)
+    u = tc.SymplecticPotential.canonical(poly)
+    x = random_interior_point(poly, rng)
+    assert np.array_equal(u.hessian(x), tc.guillemin_eval(poly, x)[2])
+
+
 def test_guillemin_derivatives_match_finite_differences():
     rng = random.Random(4)
     box = tc.unit_box(2)

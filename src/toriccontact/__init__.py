@@ -36,7 +36,6 @@ from .join import (
 from .polytope import (
     AffineFunction,
     CharacteristicResult,
-    CombinatorialType,
     LabelledPolytope,
     product,
     segment,
@@ -58,7 +57,6 @@ __all__ = [
     "AffineFunction",
     "CharacteristicResult",
     "CharacteristicSlice",
-    "CombinatorialType",
     "Cone",
     "ExtremalAffine",
     "ExtremalReport",

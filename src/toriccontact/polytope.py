@@ -71,51 +71,15 @@ class AffineFunction:
         return cls(tuple(frac(c) for c in data["normal"]), frac(data["constant"]))
 
 
-@dataclass(frozen=True)
-class CombinatorialType:
-    """Vertex-facet incidence structure up to relabeling of both sides."""
-
-    canonical: tuple[tuple[int, ...], ...]
-
-    @classmethod
-    def from_incidence(cls, vertex_facets: Sequence[frozenset[int]], num_facets: int):
-        """Canonicalize by minimizing over facet permutations.
-
-        Facets are first split into classes by an invariant (incident vertex
-        count) and only permutations respecting the classes are tried; the
-        vertex side is handled by sorting signatures, which is relabeling
-        invariant for free.
-        """
-        counts = [0] * num_facets
-        for vf in vertex_facets:
-            for f in vf:
-                counts[f] += 1
-        classes: dict[int, list[int]] = {}
-        for f in range(num_facets):
-            classes.setdefault(counts[f], []).append(f)
-        ordered_classes = [classes[c] for c in sorted(classes)]
-        if math.prod(math.factorial(len(c)) for c in ordered_classes) > 500_000:
-            raise InvalidArgumentError("polytope too large for canonicalization")
-        best = None
-        for perms in itertools.product(
-            *(itertools.permutations(c) for c in ordered_classes)
-        ):
-            position = {}
-            pos = 0
-            for perm in perms:
-                for f in perm:
-                    position[f] = pos
-                    pos += 1
-            candidate = tuple(
-                sorted(tuple(sorted(position[f] for f in vf)) for vf in vertex_facets)
-            )
-            if best is None or candidate < best:
-                best = candidate
-        return cls(best)
-
-
 class LabelledPolytope:
-    """Compact full-dimensional polytope with one affine label per facet."""
+    """Compact full-dimensional polytope with one affine label per facet.
+
+    Every instance is a validated polytope: compact, full dimensional, with
+    no redundant facet. The public constructor (and so `from_json`) checks
+    this in full. `product` and `rescale` derive new polytopes from validated
+    ones, which keeps those properties, so they build through `_trusted`
+    without checking again. `vertices` is computed on first use either way.
+    """
 
     def __init__(self, dim: int, facets: Iterable[AffineFunction]):
         self.dim = int(dim)
@@ -128,6 +92,14 @@ class LabelledPolytope:
         if len(self.facets) < self.dim + 1:
             raise InvalidPolytopeError("too few facets for a compact polytope")
         self._validate()
+
+    @classmethod
+    def _trusted(cls, dim: int, facets: Iterable[AffineFunction]) -> "LabelledPolytope":
+        """A polytope whose facets are known to bound a valid polytope."""
+        poly = cls.__new__(cls)
+        poly.dim = dim
+        poly.facets = tuple(facets)
+        return poly
 
     # -- construction-time validation -------------------------------------
 
@@ -166,22 +138,10 @@ class LabelledPolytope:
         return tuple(sorted(found))
 
     @cached_property
-    def vertex_facet_incidence(self) -> tuple[frozenset[int], ...]:
-        return tuple(
-            frozenset(i for i, f in enumerate(self.facets) if f(v) == 0)
-            for v in self.vertices
-        )
-
-    @cached_property
     def _float_labels(self) -> tuple[tuple[tuple[float, ...], ...], tuple[float, ...]]:
         """Normals and constants rounded to floats, for pointwise numerics."""
         return (tuple(tuple(float(c) for c in f.normal) for f in self.facets),
                 tuple(float(f.constant) for f in self.facets))
-
-    def combinatorial_type(self) -> CombinatorialType:
-        return CombinatorialType.from_incidence(
-            self.vertex_facet_incidence, len(self.facets)
-        )
 
     def is_simplex(self) -> bool:
         return len(self.facets) == self.dim + 1
@@ -255,10 +215,11 @@ class LabelledPolytope:
     # -- transformations ---------------------------------------------------
 
     def rescale(self, r: Rat) -> "LabelledPolytope":
+        """The polytope r*P with the same normals; valid because r > 0."""
         r = frac(r)
         if r <= 0:
             raise InvalidArgumentError("rescale factor must be positive")
-        return LabelledPolytope(self.dim, (f.rescaled(r) for f in self.facets))
+        return LabelledPolytope._trusted(self.dim, (f.rescaled(r) for f in self.facets))
 
     # -- equality / serialization -------------------------------------------
 
@@ -395,11 +356,15 @@ def standard_simplex(dim: int) -> LabelledPolytope:
 
 
 def product(p1: LabelledPolytope, p2: LabelledPolytope) -> LabelledPolytope:
-    """Product polytope with factor-1 coordinates first and labels concatenated."""
+    """Product polytope with factor-1 coordinates first and labels concatenated.
+
+    The factors are validated polytopes, so their product is compact, full
+    dimensional and irredundant too, and is built without checking again.
+    """
     n1, n2 = p1.dim, p2.dim
     zeros1 = (Fraction(0),) * n2
     zeros2 = (Fraction(0),) * n1
     facets = [
         AffineFunction(f.normal + zeros1, f.constant) for f in p1.facets
     ] + [AffineFunction(zeros2 + f.normal, f.constant) for f in p2.facets]
-    return LabelledPolytope(n1 + n2, facets)
+    return LabelledPolytope._trusted(n1 + n2, facets)

@@ -203,7 +203,7 @@ class SymplecticPotential:
         return v + self.relative.value(x)
 
     def hessian(self, x) -> np.ndarray:
-        _, _, h = guillemin_eval(self.polytope, x)
+        _, _, h = _guillemin_hessian(self.polytope, x)
         return h + self.relative.hessian(x)
 
     def convexity_margin(self, points) -> float:
@@ -299,8 +299,8 @@ def _label_values(poly: LabelledPolytope, x) -> tuple[np.ndarray, np.ndarray]:
     return normals, normals @ np.asarray(x, float) + constants
 
 
-def guillemin_eval(poly: LabelledPolytope, x) -> tuple[float, np.ndarray, np.ndarray]:
-    """Value, gradient and Hessian of u0 = 1/2 sum l_i log l_i at x.
+def _guillemin_hessian(poly: LabelledPolytope, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The float normals, the labels l_i(x) and the Hessian of u0 at x.
 
     The Hessian adds the facets' terms 1/2 n n^T / l in facet order, so it is
     exactly symmetric.
@@ -308,10 +308,16 @@ def guillemin_eval(poly: LabelledPolytope, x) -> tuple[float, np.ndarray, np.nda
     normals, ls = _label_values(poly, x)
     if not (ls > 0).all():
         raise OutOfDomainError("point is not strictly interior")
+    hess = (0.5 * normals[:, :, None] * normals[:, None, :] / ls[:, None, None]).sum(axis=0)
+    return normals, ls, hess
+
+
+def guillemin_eval(poly: LabelledPolytope, x) -> tuple[float, np.ndarray, np.ndarray]:
+    """Value, gradient and Hessian of u0 = 1/2 sum l_i log l_i at x."""
+    normals, ls, hess = _guillemin_hessian(poly, x)
     logs = np.log(ls)
     value = float(np.sum(0.5 * ls * logs))
     grad = 0.5 * (logs + 1.0) @ normals
-    hess = (0.5 * normals[:, :, None] * normals[:, None, :] / ls[:, None, None]).sum(axis=0)
     return value, grad, hess
 
 

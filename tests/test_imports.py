@@ -56,7 +56,7 @@ def test_unknown_name_raises_attribute_error():
 
 def test_public_names_unchanged():
     names = toriccontact.__all__
-    assert len(names) == 46 and names == sorted(set(names))
+    assert len(names) == 45 and names == sorted(set(names))
     lazy = {"ExtremalAffine", "ExtremalReport", "Grid", "RelativePotential",
             "SymplecticPotential", "abreu_scalar_curvature", "average_split",
             "donaldson_identity_check", "extremal_affine_function",

@@ -1,7 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import toriccontact as tc
 from toriccontact.errors import InvalidPolytopeError
@@ -61,19 +64,6 @@ def test_simplex_has_no_product_split():
     assert tc.standard_simplex(2).product_split() is None
 
 
-def test_combinatorial_type_invariance():
-    box = tc.unit_box(2)
-    # same square with facets listed in another order and sheared coordinates
-    other = LabelledPolytope(2, [
-        AffineFunction((0, 1), 0),
-        AffineFunction((1, 1), 0),
-        AffineFunction((0, -1), 1),
-        AffineFunction((-1, -1), 1),
-    ])
-    assert box.combinatorial_type() == other.combinatorial_type()
-    assert box.combinatorial_type() != tc.standard_simplex(2).combinatorial_type()
-
-
 def test_rescale_scales_constants_only():
     seg = tc.segment()
     scaled = seg.rescale(3)
@@ -129,3 +119,76 @@ def test_random_simplices_are_characteristic():
 def test_json_round_trip():
     p = tc.segment((1, 2))
     assert LabelledPolytope.from_json(p.to_json()) == p
+
+
+# -- trusted constructors ------------------------------------------------------
+
+
+def assert_same_as_validated(p):
+    """`p`, built without validation, equals its fully validated rebuild."""
+    full = LabelledPolytope(p.dim, p.facets)
+    assert p.facets == full.facets
+    assert p.vertices == full.vertices
+    assert p == full and hash(p) == hash(full)
+    assert p.interior_point() == full.interior_point()
+    assert p.product_split() == full.product_split()
+
+
+def simplex_of(seed):
+    rng = random.Random(seed)
+    return rand_characteristic_simplex(rng.randint(1, 2), rng)
+
+
+seeds = st.integers(0, 10**6)
+scales = st.fractions(min_value=Fraction(1, 9), max_value=9, max_denominator=20)
+
+
+@given(seeds, seeds)
+@settings(max_examples=25, deadline=None)
+def test_trusted_product_matches_validated(s1, s2):
+    p1, p2 = simplex_of(s1), simplex_of(s2)
+    prod = tc.product(p1, p2)
+    assert_same_as_validated(prod)
+    # independent oracle: the vertices of a product are the pairs of vertices
+    assert prod.vertices == tuple(sorted(a + b for a in p1.vertices for b in p2.vertices))
+
+
+@given(seeds, scales)
+@settings(max_examples=25, deadline=None)
+def test_trusted_rescale_matches_validated(s, r):
+    p = simplex_of(s)
+    scaled = p.rescale(r)
+    assert_same_as_validated(scaled)
+    assert scaled.vertices == tuple(sorted(tuple(r * c for c in v) for v in p.vertices))
+
+
+@given(seeds, seeds, seeds, st.integers(1, 4), st.integers(1, 4), st.integers(1, 4),
+       st.integers(1, 4))
+@settings(max_examples=15, deadline=None)
+def test_trusted_nested_joins_match_validated(s1, s2, s3, l1, l2, l3, l4):
+    if math.gcd(l1, l2) != 1 or math.gcd(l3, l4) != 1:
+        return
+    p1, p2, p3 = simplex_of(s1), simplex_of(s2), simplex_of(s3)
+    if math.gcd(l1 * l3, l2) == 1 and math.gcd(l3, l2 * l4) == 1:
+        left = tc.join_polytope(tc.join_polytope(p1, p2, l1, l2), p3, l3, l2 * l4)
+        right = tc.join_polytope(p1, tc.join_polytope(p2, p3, l3, l4), l1 * l3, l2)
+        assert left == right
+        assert_same_as_validated(left)
+        assert_same_as_validated(right)
+    assert_same_as_validated(tc.join_polytope(tc.join_polytope(p1, p2, l1, l2), p3, l3, l4))
+    assert_same_as_validated(tc.join_polytope(p1, tc.join_polytope(p2, p3, l3, l4), l1, l2))
+
+
+def test_join_polytope_does_not_revalidate(monkeypatch):
+    p1, p2 = tc.unit_box(2), tc.standard_simplex(2)
+    calls = []
+    validate = LabelledPolytope._validate
+
+    def counted(self):
+        calls.append(self)
+        validate(self)
+
+    monkeypatch.setattr(LabelledPolytope, "_validate", counted)
+    joined = tc.join_polytope(p1, p2, 2, 3)
+    assert len(joined.vertices) == 12
+    assert calls == []

@@ -128,6 +128,19 @@ def test_zero_relative_potential():
     assert np.array_equal(u.hessian(x), tc.guillemin_eval(poly, x)[2])
 
 
+def test_hessian_path_matches_guillemin_eval():
+    rng = random.Random(21)
+    for _ in range(20):
+        poly = random_rational_polytope(rng)
+        u = tc.SymplecticPotential.canonical(poly)
+        x = random_interior_point(poly, rng)
+        assert np.array_equal(u.hessian(x), tc.guillemin_eval(poly, x)[2])
+    u = tc.SymplecticPotential.canonical(tc.segment())
+    for x in ((1.0,), (1.5,), (math.nan,)):
+        with pytest.raises(OutOfDomainError):
+            u.hessian(x)
+
+
 def test_guillemin_derivatives_match_finite_differences():
     rng = random.Random(4)
     box = tc.unit_box(2)

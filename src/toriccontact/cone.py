@@ -20,7 +20,14 @@ from .errors import (
     NotAReebVectorError,
     SymbolicReebUndecidableError,
 )
-from .polytope import AffineFunction, LabelledPolytope, _extreme_rays, frac, frac_str
+from .polytope import (
+    AffineFunction,
+    LabelledPolytope,
+    _extreme_rays,
+    _reject_redundant,
+    frac,
+    frac_str,
+)
 
 RatVec = Sequence[Union[Fraction, int, str]]
 
@@ -246,6 +253,15 @@ def characteristic_polytope(cone: Cone, b: Union[ReebVector, RatVec]) -> Charact
     Symbolic vectors with a rational direction are normalized to that
     direction first (flagged in the result); genuinely irrational vectors
     are rejected.
+
+    The slice is not validated as a polytope from its labels: the cone is
+    strictly convex and b is positive on every extreme ray, so the slice is
+    compact and full dimensional, and its vertices are the rays rescaled to
+    ``<x, b> = 1``.  Facet i is then irredundant iff the rays on which label
+    i vanishes have rank ``dim - 1`` and no earlier label vanishes on the
+    same rays, which is decided over the integer rays; a redundant label
+    raises ``InvalidPolytopeError`` with the message and first index that
+    full validation of the slice gives.
     """
     if not is_strictly_convex(cone):
         raise InvalidConeError("slicing requires a strictly convex cone")
@@ -276,7 +292,13 @@ def characteristic_polytope(cone: Cone, b: Union[ReebVector, RatVec]) -> Charact
         normal = tuple(Fraction(_dot(v, l)) for v in directions)
         constant = _dot(x0, l)
         facets.append(AffineFunction(normal, constant))
-    poly = LabelledPolytope(k - 1, facets)
+    rays, actives = cone.extreme_rays, cone.ray_active_sets
+    _reject_redundant(
+        (tuple(r for r, act in zip(rays, actives) if i in act)
+         for i in range(len(cone.labels))),
+        intlinalg.rational_rank, k - 1,
+    )
+    poly = LabelledPolytope._trusted(k - 1, facets)
 
     # Quotient lattice: image of Z^k under l -> (<v_a, l>)_a.
     images = [[directions[a][j] for a in range(k - 1)] for j in range(k)]

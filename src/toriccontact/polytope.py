@@ -75,10 +75,14 @@ class LabelledPolytope:
     """Compact full-dimensional polytope with one affine label per facet.
 
     Every instance is a validated polytope: compact, full dimensional, with
-    no redundant facet. The public constructor (and so `from_json`) checks
-    this in full. `product` and `rescale` derive new polytopes from validated
-    ones, which keeps those properties, so they build through `_trusted`
-    without checking again. `vertices` is computed on first use either way.
+    no redundant facet. A facet is redundant when its label is not tight on
+    a face of dimension ``dim - 1``, or when an earlier label is tight on
+    the same face. The public constructor (and so `from_json`) checks this
+    in full. `product` and `rescale` derive new polytopes from validated
+    ones, which keeps those properties, and `cone.characteristic_polytope`
+    decides them from the cone's extreme rays; all three build through
+    `_trusted` without checking again. `vertices` is computed on first use
+    either way.
     """
 
     def __init__(self, dim: int, facets: Iterable[AffineFunction]):
@@ -116,10 +120,10 @@ class LabelledPolytope:
             raise InvalidPolytopeError("region is empty")
         if _affine_rank(verts) < self.dim:
             raise InvalidPolytopeError("region has empty interior")
-        for i in range(len(self.facets)):
-            on_facet = [v for v in verts if self.facets[i](v) == 0]
-            if _affine_rank(on_facet) != self.dim - 1:
-                raise InvalidPolytopeError(f"facet {i} is redundant")
+        _reject_redundant(
+            (tuple(v for v in verts if f(v) == 0) for f in self.facets),
+            _affine_rank, self.dim - 1,
+        )
 
     # -- derived data ------------------------------------------------------
 
@@ -254,6 +258,22 @@ class CharacteristicResult:
 
     def __bool__(self) -> bool:
         return self.ok
+
+
+def _reject_redundant(incidences, rank, full_rank: int) -> None:
+    """Raise for the first facet that is redundant.
+
+    ``incidences`` gives, facet by facet, the points of a fixed generating
+    set that lie on it (vertices, or the rays of a cone over the polytope)
+    as tuples in one canonical order.  A facet is redundant when its points
+    have ``rank`` other than ``full_rank``, or when an earlier facet has the
+    same points: two labels on one facet, of which the later is rejected.
+    """
+    seen = set()
+    for i, points in enumerate(incidences):
+        if points in seen or rank(points) != full_rank:
+            raise InvalidPolytopeError(f"facet {i} is redundant")
+        seen.add(points)
 
 
 def _affine_rank(points) -> int:

@@ -164,12 +164,32 @@ def reduce_cone(cone: Cone) -> Optional[SplittingCertificate]:
     return find_splitting_reeb(cone, part)
 
 
+def _ray_centroid(cone: Cone, b: tuple[int, ...]) -> tuple[Fraction, ...]:
+    """Centroid of the extreme rays rescaled to ``<x, b> = 1``.
+
+    These are the vertices of the slice at b, and slice coordinates are an
+    affine chart of that hyperplane, so this is the slice's vertex centroid
+    ``interior_point()`` in the coordinates of the cone.
+    """
+    rays = cone.extreme_rays
+    return tuple(
+        sum(Fraction(r[j], _dot(b, r)) for r in rays) / len(rays)
+        for j in range(cone.dim)
+    )
+
+
 def _slice_factors(cone: Cone, b: tuple[int, ...], part: SimplexProductPartition):
-    """Project the characteristic slice at b onto its two simplex factors."""
-    slc = characteristic_polytope(cone, [Fraction(c) for c in b])
-    poly = slc.polytope
+    """Project the characteristic slice at b onto its two simplex factors.
+
+    A factor label is a slice label restricted to the directions along which
+    the other group's labels are constant, anchored at the slice's vertex
+    centroid.  A slice label's value there is its cone label's value at
+    `_ray_centroid`, so the slice's vertices are never enumerated.  The
+    factors are built through the public, validating constructor.
+    """
+    poly = characteristic_polytope(cone, [Fraction(c) for c in b]).polytope
     facets = list(poly.facets)
-    p0 = poly.interior_point()
+    centroid = _ray_centroid(cone, b)
     out = []
     for own, other in ((part.group1, part.group2), (part.group2, part.group1)):
         normals_other = [[int(c) for c in facets[j].normal] for j in other]
@@ -184,7 +204,7 @@ def _slice_factors(cone: Cone, b: tuple[int, ...], part: SimplexProductPartition
                 Fraction(sum(v[r] * f.normal[r] for r in range(poly.dim)))
                 for v in directions
             )
-            constant = f(p0)
+            constant = _dot(centroid, cone.labels[i])
             factor_facets.append(AffineFunction(normal, constant))
         out.append(LabelledPolytope(n_own, tuple(factor_facets)))
     return out[0], out[1]

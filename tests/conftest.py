@@ -67,6 +67,16 @@ def rand_characteristic_product(rng: random.Random, max_factor_dim: int = 2):
             return prod, res, p1, p2, l1, l2
 
 
+def assert_same_as_validated(p: tc.LabelledPolytope) -> None:
+    """`p`, built without validation, equals its fully validated rebuild."""
+    full = tc.LabelledPolytope(p.dim, p.facets)
+    assert p.facets == full.facets
+    assert p.vertices == full.vertices
+    assert p == full and hash(p) == hash(full)
+    assert p.interior_point() == full.interior_point()
+    assert p.product_split() == full.product_split()
+
+
 def apply_unimodular(cone: tc.Cone, u: list[list[int]]) -> tc.Cone:
     k = cone.dim
     labels = tuple(

@@ -43,6 +43,18 @@ def test_cone_slice_and_quasiregular():
         assert code == 2 and body["error"] == "invalid-cone"
 
 
+def test_cone_slice_rejects_redundant_labels():
+    # (1, 1, 0) vanishes only on the ray (0, 0, 1); (1, 0, 0) is given twice.
+    for labels, detail in (
+        ([[1, 0, 0], [0, 1, 0], [-1, 0, 1], [0, -1, 1], [1, 1, 0]], "facet 4 is redundant"),
+        ([[1, 0, 0], [1, 0, 0], [0, 1, 0], [-1, 0, 1], [0, -1, 1]], "facet 1 is redundant"),
+    ):
+        payload = {"dim": 3, "labels": labels, "reeb": ["0", "0", "1"]}
+        code, body = run_cli(["cone", "slice"], payload)
+        assert code == 2
+        assert body == {"detail": detail, "error": "invalid-polytope"}
+
+
 def test_cone_reduce():
     code, body = run_cli(["cone", "reduce"], SQUARE_CONE)
     assert code == 0

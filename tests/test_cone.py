@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -10,12 +11,20 @@ import toriccontact as tc
 from toriccontact.cone import proper_faces
 from toriccontact.errors import (
     InvalidConeError,
+    InvalidPolytopeError,
     NotAReebVectorError,
     SymbolicReebUndecidableError,
+    ToricError,
 )
 from toriccontact.intlinalg import primitive_part
+from toriccontact.polytope import AffineFunction, LabelledPolytope
 
-from conftest import apply_unimodular, rand_unimodular, simplex_product_cone
+from conftest import (
+    apply_unimodular,
+    assert_same_as_validated,
+    rand_unimodular,
+    simplex_product_cone,
+)
 
 
 def brute_force_faces(cone):
@@ -224,3 +233,94 @@ def test_goodness_decision_is_exact_and_cheap(square_cone, bad_cone):
     assert tc.is_good(fresh_sq).good
     t2 = time.perf_counter()
     assert t1 - t0 < 0.01 and t2 - t1 < 0.01
+
+
+# -- slices built from the cone's rays -------------------------------------------
+
+
+@st.composite
+def sliced_cones(draw):
+    """GL(k, Z) images of product, cube and hexagon cones with a Reeb vector
+    b = sum c_i l_i, c_i > 0, and a nonnegative label combination to insert
+    at a random position (a single label repeats it), or None."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("product", "cube", "hexagon")))
+    if kind == "product":
+        cone = simplex_product_cone(draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    elif kind == "cube":
+        cone = cube_cone(draw(st.integers(2, 4)))
+    else:
+        cone = HEXAGON_CONE
+    cone = apply_unimodular(cone, rand_unimodular(cone.dim, rng))
+    d = len(cone.labels)
+    coeffs = [rng.randint(1, 3) for _ in range(d)]
+    b = tuple(sum(c * l[j] for c, l in zip(coeffs, cone.labels)) for j in range(cone.dim))
+    insert = draw(st.sampled_from((None, "combination", "repeat")))
+    weights = None
+    if insert == "repeat":
+        repeated = rng.randrange(d)
+        weights = [int(i == repeated) for i in range(d)]
+    elif insert == "combination":
+        weights = [rng.randint(0, 2) for _ in range(d)]
+        weights[rng.randrange(d)] = 1
+    return cone, b, weights, rng.randint(0, d)
+
+
+def _outcome(build):
+    """The error type and message ``build()`` raises, or None."""
+    try:
+        build()
+    except ToricError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@given(sliced_cones())
+@settings(max_examples=40, deadline=None)
+def test_trusted_slice_matches_validated(case):
+    cone, b, weights, position = case
+    poly = tc.characteristic_polytope(cone, b).polytope
+    assert_same_as_validated(poly)
+    if weights is None:
+        return
+    # Slice labels are linear in the cone label, so the inserted label's
+    # slice label is the same combination of the slice labels.
+    combo = [sum(w * l[j] for w, l in zip(weights, cone.labels)) for j in range(cone.dim)]
+    g = math.gcd(*combo)
+    labels = list(cone.labels)
+    labels.insert(position, tuple(c // g for c in combo))
+    inserted = tc.Cone(cone.dim, tuple(labels))
+
+    def validated():
+        added = AffineFunction(
+            tuple(sum(w * f.normal[a] for w, f in zip(weights, poly.facets)) / g
+                  for a in range(poly.dim)),
+            sum(w * f.constant for w, f in zip(weights, poly.facets)) / g,
+        )
+        facets = list(poly.facets)
+        facets.insert(position, added)
+        LabelledPolytope(poly.dim, facets)
+
+    trusted = _outcome(lambda: tc.characteristic_polytope(inserted, b))
+    assert trusted is not None
+    assert trusted == _outcome(validated)
+
+
+def test_characteristic_polytope_does_not_validate(monkeypatch, square_cone):
+    calls = []
+    validate = LabelledPolytope._validate
+
+    def counted(self):
+        calls.append(self)
+        validate(self)
+
+    monkeypatch.setattr(LabelledPolytope, "_validate", counted)
+    slc = tc.characteristic_polytope(square_cone, (0, 0, 1))
+    assert len(slc.polytope.vertices) == 4
+    # (1, 1, 0) vanishes only on the ray (0, 0, 1); a repeated label is
+    # rejected at its second occurrence.
+    for labels, index in ((square_cone.labels + ((1, 1, 0),), 4),
+                          (square_cone.labels[:1] + square_cone.labels, 1)):
+        with pytest.raises(InvalidPolytopeError, match=f"^facet {index} is redundant$"):
+            tc.characteristic_polytope(tc.Cone(3, labels), (0, 0, 1))
+    assert calls == []

@@ -10,7 +10,7 @@ import toriccontact as tc
 from toriccontact.errors import InvalidPolytopeError
 from toriccontact.polytope import AffineFunction, LabelledPolytope
 
-from conftest import rand_characteristic_simplex, rand_unimodular
+from conftest import assert_same_as_validated, rand_characteristic_simplex
 
 
 def test_segment_vertices():
@@ -49,6 +49,22 @@ def test_redundant_facet_rejected():
             AffineFunction((1,), 0),
             AffineFunction((-1,), 1),
             AffineFunction((1,), 5),    # never tight on [0, 1]
+        ])
+
+
+def test_repeated_facet_rejected():
+    # [x, x, 1 - x] and [x, 2x, 1 - x]: two labels on the facet x = 0
+    x, y = AffineFunction((1,), 0), AffineFunction((-1,), 1)
+    for second in (x, AffineFunction((2,), 0)):
+        with pytest.raises(InvalidPolytopeError, match="^facet 1 is redundant$"):
+            LabelledPolytope(1, [x, second, y])
+    with pytest.raises(InvalidPolytopeError, match="^facet 3 is redundant$"):
+        LabelledPolytope(2, [   # the unit square with y >= 0 twice
+            AffineFunction((1, 0), 0),
+            AffineFunction((0, 1), 0),
+            AffineFunction((-1, 0), 1),
+            AffineFunction((0, 3), 0),
+            AffineFunction((0, -1), 1),
         ])
 
 
@@ -122,16 +138,6 @@ def test_json_round_trip():
 
 
 # -- trusted constructors ------------------------------------------------------
-
-
-def assert_same_as_validated(p):
-    """`p`, built without validation, equals its fully validated rebuild."""
-    full = LabelledPolytope(p.dim, p.facets)
-    assert p.facets == full.facets
-    assert p.vertices == full.vertices
-    assert p == full and hash(p) == hash(full)
-    assert p.interior_point() == full.interior_point()
-    assert p.product_split() == full.product_split()
 
 
 def simplex_of(seed):

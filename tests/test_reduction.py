@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import toriccontact as tc
+from toriccontact.cone import _dot
 from toriccontact.errors import InvalidConeError, InvalidPartitionError
 from toriccontact.intlinalg import primitive_part
-from toriccontact.reduction import _partition_matches
+from toriccontact.reduction import _partition_matches, _ray_centroid
 
 from conftest import (
     apply_unimodular,
@@ -143,3 +144,19 @@ def test_certificate_soundness_random():
         assert cert.factor1.is_characteristic().ok
         assert cert.factor2.is_characteristic().ok
         assert all(a > 0 for a in cert.a1 + cert.a2)
+
+
+def test_ray_centroid_is_slice_interior_point():
+    # The first 40 cones of acceptance criterion 4.
+    rng = random.Random(4)
+    for _ in range(40):
+        prod, res, *_ = rand_characteristic_product(rng)
+        cone = apply_unimodular(res.cone, rand_unimodular(res.cone.dim, rng))
+        cert = tc.reduce_cone(cone)
+        poly = tc.characteristic_polytope(cone, cert.b).polytope
+        centroid = _ray_centroid(cone, cert.b)
+        assert _dot(centroid, cert.b) == 1
+        # Slice labels are the cone labels in slice coordinates and their
+        # normals span, so equal label values mean the same point.
+        p0 = poly.interior_point()
+        assert [f(p0) for f in poly.facets] == [_dot(centroid, l) for l in cone.labels]

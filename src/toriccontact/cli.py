@@ -270,9 +270,8 @@ def _pot_curvature(args):
     _validate_flags(args)
     u = _load_potential(_read_input(args))
     grid = pot_mod.Grid.interior(u.polytope, args.grid)
-    rows = [
-        list(x) + [pot_mod.abreu_scalar_curvature(u, x)] for x in grid.points
-    ]
+    values = pot_mod._curvature_scan(u, grid.points).curvature.tolist()
+    rows = [list(x) + [r] for x, r in zip(grid.points, values)]
     return 0, {"grid": {"per_axis": grid.per_axis, "spacing": grid.spacing},
                "values": rows}
 

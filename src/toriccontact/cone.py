@@ -259,7 +259,8 @@ def characteristic_polytope(cone: Cone, b: Union[ReebVector, RatVec]) -> Charact
     compact and full dimensional, and its vertices are the rays rescaled to
     ``<x, b> = 1``.  Facet i is then irredundant iff the rays on which label
     i vanishes have rank ``dim - 1`` and no earlier label vanishes on the
-    same rays, which is decided over the integer rays; a redundant label
+    same rays, which is decided over the integer rays before any slice
+    label is built; a redundant label (one parallel to b vanishes on no ray)
     raises ``InvalidPolytopeError`` with the message and first index that
     full validation of the slice gives.
     """
@@ -287,17 +288,19 @@ def characteristic_polytope(cone: Cone, b: Union[ReebVector, RatVec]) -> Charact
     norm2 = _dot(vec, vec)
     x0 = tuple(c / norm2 for c in vec)
 
-    facets = []
-    for l in cone.labels:
-        normal = tuple(Fraction(_dot(v, l)) for v in directions)
-        constant = _dot(x0, l)
-        facets.append(AffineFunction(normal, constant))
+    # Before any label is built: a label parallel to b would have a zero
+    # normal, and is reported as the redundant facet it is.
     rays, actives = cone.extreme_rays, cone.ray_active_sets
     _reject_redundant(
         (tuple(r for r, act in zip(rays, actives) if i in act)
          for i in range(len(cone.labels))),
         intlinalg.rational_rank, k - 1,
     )
+    facets = []
+    for l in cone.labels:
+        normal = tuple(Fraction(_dot(v, l)) for v in directions)
+        constant = _dot(x0, l)
+        facets.append(AffineFunction(normal, constant))
     poly = LabelledPolytope._trusted(k - 1, facets)
 
     # Quotient lattice: image of Z^k under l -> (<v_a, l>)_a.

@@ -147,6 +147,13 @@ class LabelledPolytope:
         return (tuple(tuple(float(c) for c in f.normal) for f in self.facets),
                 tuple(float(f.constant) for f in self.facets))
 
+    @cached_property
+    def _extremal_affine(self):
+        """`potential.extremal_affine_function`, solved once per instance."""
+        from .potential import _solve_extremal_affine
+
+        return _solve_extremal_affine(self)
+
     def is_simplex(self) -> bool:
         return len(self.facets) == self.dim + 1
 

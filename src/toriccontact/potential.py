@@ -4,9 +4,10 @@ identity, and the averaging split of potentials on product polytopes.
 
 Exact rational moments do all the linear algebra that must be exact (the
 extremal affine function, boundary pairings, least-squares projections);
-floating point enters only through pointwise curvature evaluation, which uses
-fourth-order central finite differences of the inverse Hessian. Pointwise
-evaluation reads the labels as float normal and constant arrays.
+floating point enters only through curvature evaluation, which applies the
+closed form of Abreu's curvature in the Hessian of the potential and its
+third and fourth derivatives to all points at once, in fixed-size blocks.
+It reads the labels as float normal and constant arrays.
 
 Importing this module loads numpy. sympy loads only where an expression is
 parsed, differentiated or expanded: `expression_from_json`, a relative
@@ -17,10 +18,12 @@ canonical potential (`RelativePotential.zero`) needs no sympy.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
@@ -77,14 +80,33 @@ def expression_from_json(node: dict, dim: int) -> sp.Expr:
     raise InvalidArgumentError(f"unknown expression node kind {kind!r}")
 
 
+# Orders of the partial derivatives that the curvature reads from a potential.
+_ORDERS = (2, 3, 4)
+
+
+@lru_cache(maxsize=None)
+def _partial_indices(n: int, k: int) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
+    """The distinct k-th partials in n variables, as sorted index tuples, and
+    for every index (i_1, ..., i_k) the position of its sorted tuple."""
+    distinct = tuple(itertools.combinations_with_replacement(range(n), k))
+    position = {d: pos for pos, d in enumerate(distinct)}
+    full = np.empty((n,) * k, dtype=np.intp)
+    for idx in np.ndindex(*full.shape):
+        full[idx] = position[tuple(sorted(idx))]
+    full.setflags(write=False)  # shared by every caller
+    return distinct, full
+
+
 class RelativePotential:
     """Relative part f of a symplectic potential u = u0 + f.
 
     Backed either by a closed-form expression (analytic derivatives) or by
     grid samples interpolated with a degree >= 5 spline so that the fourth
-    derivative of the curvature pipeline exists. An exact rational zero
-    (int, Fraction or sympy 0) is kept as a number: it evaluates without
-    sympy, and `expr` builds sympy's 0 only when read.
+    derivatives the curvature reads exist. An exact rational zero (int,
+    Fraction or sympy 0) is kept as a number: it evaluates without sympy,
+    and `expr` builds sympy's 0 only when read. A closed form is parsed at
+    construction, so bad input fails there, but it is differentiated and
+    compiled only when first evaluated.
     """
 
     def __init__(self, dim: int, expr: Optional[sp.Expr] = None,
@@ -97,13 +119,7 @@ class RelativePotential:
         if expr is not None and not self._zero:
             import sympy as sp
 
-            xs = _coords(dim)
-            self._expr = sp.sympify(expr, locals={s.name: s for s in xs})
-            self._value = sp.lambdify(xs, self._expr, "numpy")
-            self._hess = [
-                [sp.lambdify(xs, sp.diff(self._expr, xi, xj), "numpy") for xj in xs]
-                for xi in xs
-            ]
+            self._expr = sp.sympify(expr, locals={s.name: s for s in _coords(dim)})
 
     @property
     def expr(self) -> Optional[sp.Expr]:
@@ -153,34 +169,66 @@ class RelativePotential:
         return self._expr is not None and self._expr.is_polynomial(*_coords(self.dim))
 
     def value(self, x) -> float:
-        if self._zero:
-            return 0.0
-        if self._expr is not None:
-            return float(self._value(*x))
-        return self._spline_eval(x, ())
+        return float(self._values(np.asarray([x], float))[0])
 
     def hessian(self, x) -> np.ndarray:
-        if self._zero:
-            return np.zeros((self.dim, self.dim))
-        if self._expr is not None:
-            return np.array(
-                [[float(self._hess[i][j](*x)) for j in range(self.dim)]
-                 for i in range(self.dim)]
-            )
-        return np.array(
-            [[self._spline_eval(x, (i, j)) for j in range(self.dim)]
-             for i in range(self.dim)]
-        )
+        return self._partials(np.asarray([x], float))[0][0]
 
-    def _spline_eval(self, x, partial: tuple[int, ...]) -> float:
+    @cached_property
+    def _value_fn(self) -> Callable:
+        import sympy as sp
+
+        return sp.lambdify(_coords(self.dim), self._expr, "numpy")
+
+    @cached_property
+    def _partials_fn(self) -> Callable:
+        """One compiled function of the coordinates that gives every distinct
+        partial of the orders in `_ORDERS`, in `_partial_indices` order."""
+        import sympy as sp
+
+        xs = _coords(self.dim)
+        partials = {(): self._expr}
+        for k in range(1, _ORDERS[-1] + 1):
+            for d in itertools.combinations_with_replacement(range(self.dim), k):
+                partials[d] = sp.diff(partials[d[:-1]], xs[d[-1]])
+        return sp.lambdify(xs, [partials[d] for k in _ORDERS
+                                for d in _partial_indices(self.dim, k)[0]], "numpy")
+
+    def _values(self, points: np.ndarray) -> np.ndarray:
+        """f at each row of `points`."""
+        if self._zero:
+            return np.zeros(len(points))
+        if self._expr is not None:
+            return np.broadcast_to(np.asarray(self._value_fn(*points.T), float),
+                                   (len(points),))
+        return self._spline_eval(points, ())
+
+    def _partials(self, points: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The partial derivative tensors of f of each order in `_ORDERS` at
+        each row of `points`, of shape (len(points),) + (dim,) * order."""
+        n, count = self.dim, len(points)
+        if self._zero:
+            return tuple(np.zeros((count,) + (n,) * k) for k in _ORDERS)
+        if self._expr is not None:
+            columns = self._partials_fn(*points.T)
+        else:
+            columns = [self._spline_eval(points, d)
+                       for k in _ORDERS for d in _partial_indices(n, k)[0]]
+        flat = np.stack([np.broadcast_to(np.asarray(c, float), (count,))
+                         for c in columns], axis=1)
+        tensors, start = [], 0
+        for k in _ORDERS:
+            distinct, full = _partial_indices(n, k)
+            tensors.append(flat[:, start + full])
+            start += len(distinct)
+        return tuple(tensors)
+
+    def _spline_eval(self, points: np.ndarray, partial: tuple[int, ...]) -> np.ndarray:
         if self.dim == 1:
-            s = self._spline
-            for _ in partial:
-                s = s.derivative()
-            return float(s(x[0]))
-        dx = sum(1 for i in partial if i == 0)
-        dy = sum(1 for i in partial if i == 1)
-        return float(self._spline(x[0], x[1], dx=dx, dy=dy))
+            s = self._spline.derivative(len(partial)) if partial else self._spline
+            return s(points[:, 0])
+        return self._spline(points[:, 0], points[:, 1], dx=partial.count(0),
+                            dy=partial.count(1), grid=False)
 
 
 @dataclass
@@ -272,11 +320,20 @@ class ExtremalAffine:
 
 @dataclass(frozen=True)
 class ExtremalReport:
+    """Residual norms of R_u - R_E over a grid, with the diagnostics that
+    explain a bad one: where |R_u - R_E| is largest, how close the points
+    come to a facet (l_i / |n_i|) and how close the Hessian comes to
+    singular. The diagnostics are None on an empty grid."""
+
     extremal_affine: ExtremalAffine
     residual_sup: float
     residual_l2: float
     grid_per_axis: int
     grid_margin_cells: int
+    points: int
+    argmax: Optional[tuple[float, ...]]
+    min_facet_distance: Optional[float]
+    min_hessian_eigenvalue: Optional[float]
 
     def to_json(self) -> dict:
         return {
@@ -285,6 +342,12 @@ class ExtremalReport:
             "residual_l2": self.residual_l2,
             "grid": {"per_axis": self.grid_per_axis,
                      "margin_cells": self.grid_margin_cells},
+            "diagnostics": {
+                "points": self.points,
+                "argmax": None if self.argmax is None else list(self.argmax),
+                "min_facet_distance": self.min_facet_distance,
+                "min_hessian_eigenvalue": self.min_hessian_eigenvalue,
+            },
         }
 
 
@@ -321,53 +384,86 @@ def guillemin_eval(poly: LabelledPolytope, x) -> tuple[float, np.ndarray, np.nda
     return value, grad, hess
 
 
-def _fd_step(poly: LabelledPolytope, x) -> float:
-    normals, ls = _label_values(poly, x)
-    nmax = np.sqrt((normals ** 2).sum(axis=1)).max()
-    return float(ls.min() / (6.0 * nmax))
+# Points per block of the batched curvature, so that its working memory (the
+# fourth-derivative tensors, dim**4 floats a point) does not grow with the grid.
+_BLOCK_POINTS = 4096
 
 
-_D1 = {-2: 1.0 / 12, -1: -8.0 / 12, 1: 8.0 / 12, 2: -1.0 / 12}
-_D2 = {-2: -1.0 / 12, -1: 16.0 / 12, 0: -30.0 / 12, 1: 16.0 / 12, 2: -1.0 / 12}
+@dataclass(frozen=True)
+class _CurvatureScan:
+    """R_u at each point, with the least facet distance l_i / |n_i| and the
+    least Hessian eigenvalue over the points (inf when there are none)."""
+
+    curvature: np.ndarray
+    min_facet_distance: float
+    min_hessian_eigenvalue: float
 
 
-def abreu_scalar_curvature(u: SymplecticPotential, x,
-                           step: Optional[float] = None) -> float:
-    """R_u(x) = -sum_ij d^2 (H^-1)_ij / dx_i dx_j by 4th-order differences."""
-    poly = u.polytope
-    n = poly.dim
-    x = np.asarray(x, float)
-    h0 = u.hessian(tuple(x))
-    try:
-        np.linalg.cholesky(h0)
-    except np.linalg.LinAlgError:
-        raise NotConvexHereError("potential Hessian is not positive definite")
-    h = step if step is not None else _fd_step(poly, x)
-    if h <= 0:
-        raise OutOfDomainError("point is not strictly interior")
+def _curvature_scan(u: SymplecticPotential, points) -> _CurvatureScan:
+    """Abreu's scalar curvature R_u = -sum_ab d_a d_b G_ab, G = H^-1, at the
+    points (rows), in grid order.
 
-    def g(point) -> np.ndarray:
-        return np.linalg.inv(u.hessian(tuple(point)))
+    Since d_a d_b G = G H_a G H_b G + G H_b G H_a G - G H_ab G, with H_a and
+    H_ab the derivatives of the Hessian H,
 
-    total = 0.0
-    for i in range(n):
-        acc = 0.0
-        for a, w in _D2.items():
-            y = x.copy()
-            y[i] += a * h
-            acc += w * g(y)[i, i]
-        total += acc / (h * h)
-    for i in range(n):
-        for j in range(i + 1, n):
-            acc = 0.0
-            for a, wa in _D1.items():
-                for b, wb in _D1.items():
-                    y = x.copy()
-                    y[i] += a * h
-                    y[j] += b * h
-                    acc += wa * wb * g(y)[i, j]
-            total += 2.0 * acc / (h * h)
-    return -total
+        R = sum_ab (G H_ab G)_ab - (G H_a G H_b G)_ab - (G H_b G H_a G)_ab.
+
+    The canonical part gives H = 1/2 sum n n^T / l, H_a = -1/2 sum n n^T n_a
+    / l^2 and H_ab = sum n n^T n_a n_b / l^3 over the facets; the relative
+    part adds its own partials. The first point outside the polytope (some
+    l_i <= 0 or NaN, `OutOfDomainError`) or with a Hessian that is not
+    positive definite (`NotConvexHereError`) decides the error.
+    """
+    poly, n = u.polytope, u.polytope.dim
+    normals, constants = (np.array(a, float) for a in poly._float_labels)
+    m = len(constants)
+    norms = np.sqrt((normals ** 2).sum(axis=1))
+    # the outer powers n^(x)k of each normal, flattened into one row per facet
+    outer, powers = normals, {}
+    for k in range(2, _ORDERS[-1] + 1):
+        outer = outer[..., None] * normals.reshape((m,) + (1,) * (k - 1) + (n,))
+        powers[k] = outer.reshape(m, -1)
+    pts = np.asarray(points, float).reshape(-1, n)
+    curvature = np.empty(len(pts))
+    min_distance = min_eigenvalue = math.inf
+    for start in range(0, len(pts), _BLOCK_POINTS):
+        x = pts[start:start + _BLOCK_POINTS]
+        # one matrix-vector product per point, so l_i(x) rounds as in
+        # `guillemin_eval` and the domain decisions agree with it
+        ls = (normals @ x[:, :, None])[..., 0] + constants
+        inside = (ls > 0).all(axis=1)
+        stop = len(x) if inside.all() else int(inside.argmin())
+        x, ls = x[:stop], ls[:stop]
+        w = 1.0 / ls
+        hess = ((0.5 * w) @ powers[2]).reshape(-1, n, n)
+        d3 = ((-0.5 * w * w) @ powers[3]).reshape((-1,) + (n,) * 3)
+        d4 = ((w * w * w) @ powers[4]).reshape((-1,) + (n,) * 4)
+        if not u.relative._zero:
+            f2, f3, f4 = u.relative._partials(x)
+            hess, d3, d4 = hess + f2, d3 + f3, d4 + f4
+        try:
+            np.linalg.cholesky(hess)
+        except np.linalg.LinAlgError:
+            # every point checked here comes before the first one outside
+            raise NotConvexHereError("potential Hessian is not positive definite") from None
+        if stop < len(inside):
+            raise OutOfDomainError("point is not strictly interior")
+        g = np.linalg.inv(hess)
+        e = np.einsum("pai,pijb->pajb", g, d3)  # e[p, a, j, b] = (G H_b)_aj
+        v = np.einsum("paja->pj", e)
+        curvature[start:start + stop] = (
+            (np.einsum("pai,pijab->pjb", g, d4) * g).sum(axis=(1, 2))
+            - np.einsum("pj,pjk,pk->p", v, g, v)
+            - np.einsum("pajb,pjk,pbka->p", e, g, e)
+        )
+        min_distance = min(min_distance, float((ls / norms).min()))
+        min_eigenvalue = min(min_eigenvalue, float(np.linalg.eigvalsh(hess)[:, 0].min()))
+    return _CurvatureScan(curvature, min_distance, min_eigenvalue)
+
+
+def abreu_scalar_curvature(u: SymplecticPotential, x) -> float:
+    """R_u(x) = -sum_ab d_a d_b (H^-1)_ab at one point, in closed form."""
+    return float(_curvature_scan(u, [x]).curvature[0])
 
 
 # --------------------------------------------------------------------------
@@ -385,7 +481,12 @@ def _affine_basis(n: int) -> list[dict]:
 
 def extremal_affine_function(poly: LabelledPolytope) -> ExtremalAffine:
     """The unique affine R_E with int f R_E dmu = 2 int_boundary f dsigma
-    for every affine f, solved exactly from rational moments."""
+    for every affine f, solved exactly from rational moments once per
+    polytope object (`LabelledPolytope._extremal_affine` keeps it)."""
+    return poly._extremal_affine
+
+
+def _solve_extremal_affine(poly: LabelledPolytope) -> ExtremalAffine:
     basis = _affine_basis(poly.dim)
     m = len(basis)
     flat = moments.polynomial_moments(poly, [_poly_mul(a, b) for a in basis for b in basis])
@@ -407,17 +508,26 @@ def _poly_mul(p: dict, q: dict) -> dict:
 
 
 def extremality_residual(u: SymplecticPotential, grid: Grid) -> ExtremalReport:
-    """Sup and rms norms of R_u - R_E over the grid."""
+    """Sup and rms norms of R_u - R_E over the grid, with diagnostics."""
     re = extremal_affine_function(u.polytope)
     points = np.array(grid.points, float).reshape(len(grid.points), u.polytope.dim)
+    scan = _curvature_scan(u, points)
     re_values = points @ np.array([float(c) for c in re.normal]) + float(re.constant)
-    arr = np.array([abreu_scalar_curvature(u, x) for x in grid.points]) - re_values
+    arr = scan.curvature - re_values
+    if not arr.size:
+        return ExtremalReport(re, 0.0, 0.0, grid.per_axis, grid.margin_cells,
+                              0, None, None, None)
+    worst = int(np.argmax(np.abs(arr)))
     return ExtremalReport(
         re,
-        float(np.max(np.abs(arr))) if arr.size else 0.0,
-        float(np.sqrt(np.mean(arr ** 2))) if arr.size else 0.0,
+        float(np.max(np.abs(arr))),
+        float(np.sqrt(np.mean(arr ** 2))),
         grid.per_axis,
         grid.margin_cells,
+        len(arr),
+        tuple(points[worst].tolist()),
+        scan.min_facet_distance,
+        scan.min_hessian_eigenvalue,
     )
 
 
@@ -454,14 +564,6 @@ def _simplex_measure(s) -> float:
     return abs(float(np.linalg.det(edges))) / math.factorial(m)
 
 
-def _centroid_quadrature(simplices, fn: Callable) -> float:
-    total = 0.0
-    for s in simplices:
-        c = np.mean(np.asarray(s, float), axis=0)
-        total += _simplex_measure(s) * fn(tuple(c))
-    return total
-
-
 def donaldson_identity_check(u: SymplecticPotential, f: RelativePotential,
                              refine: int = 0) -> float:
     """Residual of int R_u f dmu = 2 int_bd f dsigma - int u^{ij} f_{ij} dmu.
@@ -477,17 +579,14 @@ def donaldson_identity_check(u: SymplecticPotential, f: RelativePotential,
         for s in moments.triangulate(poly)
     ]
     simplices = _refine(base, refine)
-
-    def lhs_fn(x):
-        return abreu_scalar_curvature(u, x) * f.value(x)
-
-    def hess_fn(x):
-        g = np.linalg.inv(u.hessian(x))
-        return float(np.sum(g * f.hessian(x)))
-
-    lhs = _centroid_quadrature(simplices, lhs_fn)
+    centroids = np.array([np.mean(np.asarray(s, float), axis=0) for s in simplices])
+    measures = np.array([_simplex_measure(s) for s in simplices])
+    curvature = _curvature_scan(u, centroids).curvature
+    inverse = np.linalg.inv(np.array([u.hessian(tuple(c)) for c in centroids]))
+    pairing = (inverse * f._partials(centroids)[0]).sum(axis=(1, 2))
+    lhs = float(measures @ (curvature * f._values(centroids)))
     boundary = _boundary_pairing(poly, f)
-    rhs = 2.0 * boundary - _centroid_quadrature(simplices, hess_fn)
+    rhs = 2.0 * boundary - float(measures @ pairing)
     return abs(lhs - rhs)
 
 

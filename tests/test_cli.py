@@ -48,6 +48,8 @@ def test_cone_slice_rejects_redundant_labels():
     for labels, detail in (
         ([[1, 0, 0], [0, 1, 0], [-1, 0, 1], [0, -1, 1], [1, 1, 0]], "facet 4 is redundant"),
         ([[1, 0, 0], [1, 0, 0], [0, 1, 0], [-1, 0, 1], [0, -1, 1]], "facet 1 is redundant"),
+        # (0, 0, 1) is parallel to b, so it vanishes on no ray
+        ([[1, 0, 0], [0, 1, 0], [-1, 0, 1], [0, -1, 1], [0, 0, 1]], "facet 4 is redundant"),
     ):
         payload = {"dim": 3, "labels": labels, "reeb": ["0", "0", "1"]}
         code, body = run_cli(["cone", "slice"], payload)
@@ -99,6 +101,10 @@ def test_potential_extremal():
     assert code == 0
     assert body["extremal"]
     assert body["extremal_affine"] == {"constant": "4", "normal": ["0"]}
+    diagnostics = body["diagnostics"]
+    assert diagnostics["points"] == 32 and len(diagnostics["argmax"]) == 1
+    assert abs(diagnostics["min_facet_distance"] - body["grid"]["margin_cells"] / 39) < 1e-15
+    assert diagnostics["min_hessian_eigenvalue"] > 0
 
 
 def test_potential_split():

@@ -14,7 +14,7 @@ from toriccontact import potential
 
 from conftest import ENV
 
-HEAVY = ("numpy", "sympy")
+HEAVY = ("numpy", "scipy", "sympy")
 SEGMENT = {"dim": 1, "facets": [
     {"normal": ["1"], "constant": "0"},
     {"normal": ["-1"], "constant": "1"},
@@ -47,6 +47,17 @@ def test_exact_cli_commands_load_no_float_layer():
 def test_canonical_extremal_loads_numpy_only():
     code = "from toriccontact import cli\ncli.main(['potential', 'extremal', '--grid', '8'])"
     assert loaded_after(code, json.dumps({"polytope": SEGMENT})) == {"numpy"}
+
+
+def test_canonical_curvature_loads_numpy_only():
+    code = "from toriccontact import cli\ncli.main(['potential', 'curvature', '--grid', '8'])"
+    assert loaded_after(code, json.dumps({"polytope": SEGMENT})) == {"numpy"}
+
+
+def test_polynomial_relative_extremal_loads_no_scipy():
+    code = "from toriccontact import cli\ncli.main(['potential', 'extremal', '--grid', '8'])"
+    payload = {"polytope": SEGMENT, "relative": "x0**4/20 + x0**2"}
+    assert loaded_after(code, json.dumps(payload)) == {"numpy", "sympy"}
 
 
 def test_unknown_name_raises_attribute_error():

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy as sp
+from sympy.polys.matrices import DomainMatrix
 
 import toriccontact as tc
 from toriccontact import potential as pot
@@ -188,6 +189,329 @@ def test_abreu_rejects_nonconvex():
         tc.abreu_scalar_curvature(u, (0.5,))
 
 
+# Fourth-order central differences of the inverse Hessian: an oracle that
+# shares no formula with the closed form.
+FD_D1 = {-2: 1.0 / 12, -1: -8.0 / 12, 1: 8.0 / 12, 2: -1.0 / 12}
+FD_D2 = {-2: -1.0 / 12, -1: 16.0 / 12, 0: -30.0 / 12, 1: 16.0 / 12, 2: -1.0 / 12}
+
+
+def fd_curvature(u, x, shrink=1):
+    """R_u(x) = -sum_ij d^2 (H^-1)_ij / dx_i dx_j by 4th-order differences
+    with step min l_i / (6 max |n_i|), divided by `shrink`."""
+    n = u.polytope.dim
+    x = np.asarray(x, float)
+    normals = np.array([[float(c) for c in f.normal] for f in u.polytope.facets])
+    ls = np.array([float(f(tuple(x))) for f in u.polytope.facets])
+    h = float(ls.min() / (6.0 * np.sqrt((normals ** 2).sum(axis=1)).max())) / shrink
+
+    def g(point):
+        return np.linalg.inv(u.hessian(tuple(point)))
+
+    total = 0.0
+    for i in range(n):
+        acc = 0.0
+        for a, w in FD_D2.items():
+            y = x.copy()
+            y[i] += a * h
+            acc += w * g(y)[i, i]
+        total += acc / (h * h)
+    for i in range(n):
+        for j in range(i + 1, n):
+            acc = 0.0
+            for a, wa in FD_D1.items():
+                for b, wb in FD_D1.items():
+                    y = x.copy()
+                    y[i] += a * h
+                    y[j] += b * h
+                    acc += wa * wb * g(y)[i, j]
+            total += 2.0 * acc / (h * h)
+    return -total
+
+
+def exact_curvature(poly, rel, point):
+    """R = -sum_ab d_a d_b (Hess u)^-1_ab for u = 1/2 sum l log l + rel, with
+    every derivative taken symbolically, at a rational point p.
+
+    The second derivatives of (Hess u)^-1 at p depend only on the Taylor
+    polynomial of degree 2 of Hess u at p, so the inverse is taken of that
+    polynomial matrix in t = x - p, which keeps the expressions small.
+    """
+    n = poly.dim
+    xs, ts = pot._coords(n), sp.symbols(f"t0:{n}")
+    at_p = dict(zip(xs, (sp.Rational(c) for c in point)))
+    ls = [sum(sp.Rational(c) * xi for c, xi in zip(f.normal, xs)) + sp.Rational(f.constant)
+          for f in poly.facets]
+    hess = sp.hessian(sum(l * sp.log(l) for l in ls) / 2 + rel, xs)
+
+    def taylor2(h):
+        grad = [sp.diff(h, xi) for xi in xs]
+        return (h.subs(at_p) + sum(g.subs(at_p) * t for g, t in zip(grad, ts))
+                + sum(sp.diff(grad[a], xs[b]).subs(at_p) * ts[a] * ts[b]
+                      for a in range(n) for b in range(n)) / 2)
+
+    jet = DomainMatrix.from_Matrix(hess.applyfunc(taylor2))
+    adjugate = jet.adjugate().to_Matrix()
+    det = jet.det().as_expr()
+
+    def at_0(expr, *ts_):
+        """d^k expr / dt_a ... at t = 0, from the coefficients of the polynomial."""
+        term = sp.Mul(*ts_) if ts_ else sp.Integer(1)
+        factor = 2 if len(ts_) == 2 and ts_[0] == ts_[1] else 1
+        return factor * sp.Poly(expr, *ts).coeff_monomial(term)
+
+    # d_a d_b (A / D) at t = 0 by the quotient rule, for A = adjugate[a, b]
+    d0 = at_0(det)
+    total = 0
+    for a in range(n):
+        for b in range(n):
+            ta, tb, num = ts[a], ts[b], adjugate[a, b]
+            total += (at_0(num, ta, tb) / d0
+                      - (at_0(num, ta) * at_0(det, tb) + at_0(num, tb) * at_0(det, ta)) / d0 ** 2
+                      - at_0(num) * at_0(det, ta, tb) / d0 ** 2
+                      + 2 * at_0(num) * at_0(det, ta) * at_0(det, tb) / d0 ** 3)
+    return -total
+
+
+def rational_interior_point(poly, rng):
+    weights = [rng.randint(1, 3) for _ in poly.vertices]
+    return tuple(sum(w * v[i] for w, v in zip(weights, poly.vertices)) / sum(weights)
+                 for i in range(poly.dim))
+
+
+def convex_polynomial(poly, point, rng):
+    """A quadratic-to-quartic polynomial, scaled so that u stays convex at
+    `point` with room to spare."""
+    xs = pot._coords(poly.dim)
+    forms = [sum(rng.randint(-2, 2) * xi for xi in xs) + rng.randint(-1, 1) for _ in range(2)]
+    expr = (forms[0] ** 2 + sp.Rational(1, 3) * forms[1] ** 3 + sp.Rational(1, 4) * forms[0] ** 4
+            + rng.randint(0, 2) * xs[0] * xs[-1])
+    expr = sp.expand(expr)
+    canonical = tc.SymplecticPotential.canonical(poly).hessian(tuple(float(c) for c in point))
+    scale = sp.Rational(1, 2)
+    while True:
+        rel = tc.RelativePotential(poly.dim, scale * expr)
+        hess = canonical + rel.hessian(tuple(float(c) for c in point))
+        if np.linalg.eigvalsh(hess)[0] > 0.5 * np.linalg.eigvalsh(canonical)[0]:
+            return scale * expr
+        scale /= 4
+
+
+def trapezoid():
+    return tc.LabelledPolytope(2, [
+        tc.AffineFunction((1, 0), 0), tc.AffineFunction((-1, 0), 2),
+        tc.AffineFunction((0, 1), 0), tc.AffineFunction((-1, -2), 4),
+    ])
+
+
+def test_closed_form_matches_exact_curvature():
+    rng = random.Random(31)
+    polys = [tc.segment((1, 2)), tc.segment((2, 3)), trapezoid(), tc.unit_box(3)]
+    polys += [random_rational_polytope(rng) for _ in range(8)]
+    worst = 0.0
+    for poly in polys:
+        for with_relative in (False, True):
+            point = rational_interior_point(poly, rng)
+            rel = convex_polynomial(poly, point, rng) if with_relative else sp.Integer(0)
+            exact = float(exact_curvature(poly, rel, point))
+            u = tc.SymplecticPotential(poly, tc.RelativePotential(poly.dim, rel))
+            got = tc.abreu_scalar_curvature(u, tuple(float(c) for c in point))
+            worst = max(worst, abs(got - exact) / max(abs(exact), 1.0))
+    assert worst < 1e-10, worst
+
+
+def test_closed_form_matches_finite_differences():
+    # within the differences' truncation error, estimated by halving the step
+    # (a fourth-order error then falls 16-fold)
+    rng = random.Random(8)
+    for poly in (tc.segment((1, 2)), trapezoid(), random_rational_polytope(rng),
+                 random_rational_polytope(rng), tc.unit_box(3)):
+        point = rational_interior_point(poly, rng)
+        x = tuple(float(c) for c in point)
+        for rel in (sp.Integer(0), convex_polynomial(poly, point, rng)):
+            u = tc.SymplecticPotential(poly, tc.RelativePotential(poly.dim, rel))
+            closed = tc.abreu_scalar_curvature(u, x)
+            fd, fd_half = fd_curvature(u, x), fd_curvature(u, x, shrink=2)
+            truncation = abs(fd - fd_half) * 16 / 15
+            assert abs(fd - closed) <= 1.5 * truncation + 1e-9 * max(abs(closed), 1.0)
+            assert abs(fd_half - closed) <= abs(fd - closed) / 8 + 1e-9 * max(abs(closed), 1.0)
+    # on segment(1, 2) at grid 8 the differences alone miss the default --tol
+    u = tc.SymplecticPotential.canonical(tc.segment((1, 2)))
+    x = tc.Grid.interior(u.polytope, 8).points[0]
+    exact = float(exact_curvature(u.polytope, 0, (Fraction(x[0]),)))
+    assert abs(fd_curvature(u, x) - exact) > 1e-6
+    assert abs(tc.abreu_scalar_curvature(u, x) - exact) < 1e-12
+
+
+def test_spline_relative_matches_sympy_twin():
+    rng = random.Random(2)
+    xs = np.linspace(0.0, 1.0, 41)
+    f1 = sp.Rational(1, 20) * X0 ** 4 + X0 ** 2 / 2 - sp.Rational(1, 10) * X0 ** 3
+    samples = sp.lambdify([X0], f1, "numpy")(xs)
+    f2 = sp.Rational(1, 20) * X0 ** 4 + X0 * X1 / 10 + X1 ** 2 / 2 + sp.Rational(1, 30) * X1 ** 3
+    grid = np.meshgrid(xs, xs, indexing="ij")
+    samples2 = sp.lambdify([X0, X1], f2, "numpy")(*grid)
+    for poly, spline, expr in (
+        (tc.segment(), tc.RelativePotential.from_grid_samples([xs], samples), f1),
+        (tc.unit_box(2), tc.RelativePotential.from_grid_samples([xs, xs], samples2), f2),
+    ):
+        twin = tc.RelativePotential(poly.dim, expr)
+        points = [random_interior_point(poly, rng) for _ in range(5)]
+        for x in points:
+            assert abs(spline.value(x) - twin.value(x)) < 1e-12
+            assert np.allclose(spline.hessian(x), twin.hessian(x), rtol=0, atol=1e-9)
+        got = pot._curvature_scan(tc.SymplecticPotential(poly, spline), points).curvature
+        want = pot._curvature_scan(tc.SymplecticPotential(poly, twin), points).curvature
+        assert np.allclose(got, want, rtol=1e-7, atol=0)
+
+
+def first_error(u, points):
+    """The error of the first point that fails on its own, in order."""
+    for x in points:
+        try:
+            tc.abreu_scalar_curvature(u, x)
+        except (OutOfDomainError, NotConvexHereError) as exc:
+            return type(exc)
+    return None
+
+
+def test_curvature_errors_follow_grid_order(monkeypatch):
+    # -10 x^2 keeps u convex only near the ends of the segment
+    u = tc.SymplecticPotential(tc.segment(), tc.RelativePotential(1, -10 * X0 ** 2))
+    orders = [
+        [(0.01,), (0.02,), (0.5,), (1.5,)],
+        [(0.01,), (1.5,), (0.5,)],
+        [(0.01,), (0.02,), (0.015,), (0.98,), (math.nan,), (0.5,)],
+        [(0.5,), (math.nan,)],
+        [(-0.2,), (0.5,)],
+        [(0.01,), (0.02,), (0.99,)],
+    ]
+    for block in (pot._BLOCK_POINTS, 1, 2, 3):
+        monkeypatch.setattr(pot, "_BLOCK_POINTS", block)
+        for points in orders:
+            grid = tc.Grid(tuple(points), 0.1, len(points), 0)
+            expected = first_error(u, points)
+            if expected is None:
+                tc.extremality_residual(u, grid)
+                continue
+            with pytest.raises(expected):
+                tc.extremality_residual(u, grid)
+            with pytest.raises(expected):
+                pot._curvature_scan(u, points)
+    assert [first_error(u, p) for p in orders] == [
+        NotConvexHereError, OutOfDomainError, OutOfDomainError, NotConvexHereError,
+        OutOfDomainError, None]
+
+
+def test_curvature_blocks_agree(monkeypatch):
+    rng = random.Random(17)
+    poly = random_rational_polytope(rng)
+    point = rational_interior_point(poly, rng)
+    u = tc.SymplecticPotential(poly, tc.RelativePotential(
+        poly.dim, convex_polynomial(poly, point, rng)))
+    points = [random_interior_point(poly, rng) for _ in range(11)]
+    whole = pot._curvature_scan(u, points)
+    monkeypatch.setattr(pot, "_BLOCK_POINTS", 4)
+    blocked = pot._curvature_scan(u, points)
+    assert np.allclose(blocked.curvature, whole.curvature, rtol=1e-13, atol=0)
+    assert blocked.min_facet_distance == whole.min_facet_distance
+    assert blocked.min_hessian_eigenvalue == pytest.approx(whole.min_hessian_eigenvalue, rel=1e-13)
+    assert [tc.abreu_scalar_curvature(u, x) for x in points] == pytest.approx(
+        list(whole.curvature), rel=1e-13)
+
+
+def test_curvature_memory_does_not_grow_with_points():
+    import tracemalloc
+
+    u = tc.SymplecticPotential.canonical(tc.unit_box(3))
+    rng = np.random.default_rng(3)
+    extra = []
+    for blocks in (2, 8):
+        points = rng.uniform(0.1, 0.9, (blocks * pot._BLOCK_POINTS, 3))
+        tracemalloc.start()
+        try:
+            scan = pot._curvature_scan(u, points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        extra.append(peak - scan.curvature.nbytes)
+    # the working set is one block's, whatever the number of points
+    assert extra[1] < 1.05 * extra[0] + 2 ** 16, extra
+
+
+def test_empty_grid():
+    poly = tc.standard_simplex(3)
+    grid = tc.Grid.interior(poly, 4)
+    assert grid.points == ()
+    report = tc.extremality_residual(tc.SymplecticPotential.canonical(poly), grid)
+    assert (report.residual_sup, report.residual_l2) == (0.0, 0.0)
+    assert report.to_json()["diagnostics"] == {
+        "points": 0, "argmax": None, "min_facet_distance": None,
+        "min_hessian_eigenvalue": None}
+
+
+def test_extremal_report_diagnostics():
+    for poly, rel in ((tc.segment((1, 2)), 0), (trapezoid(), X0 ** 2 / 10 + X0 * X1 / 20)):
+        u = tc.SymplecticPotential(poly, tc.RelativePotential(poly.dim, rel))
+        grid = tc.Grid.interior(poly, 8)
+        report = tc.extremality_residual(u, grid)
+        re = tc.extremal_affine_function(poly)
+        residual = [tc.abreu_scalar_curvature(u, x) - float(re(x)) for x in grid.points]
+        worst = max(range(len(residual)), key=lambda i: abs(residual[i]))
+        assert report.points == len(grid.points) > 0
+        assert report.argmax == grid.points[worst]
+        assert report.residual_sup == pytest.approx(abs(residual[worst]), rel=1e-12)
+        distances = [float(f(x)) / math.sqrt(sum(float(c) ** 2 for c in f.normal))
+                     for x in grid.points for f in poly.facets]
+        assert report.min_facet_distance == pytest.approx(min(distances), rel=1e-12)
+        eigenvalues = [np.linalg.eigvalsh(u.hessian(x))[0] for x in grid.points]
+        assert report.min_hessian_eigenvalue == pytest.approx(min(eigenvalues), rel=1e-12)
+        body = report.to_json()
+        assert body["diagnostics"] == {
+            "points": report.points, "argmax": list(report.argmax),
+            "min_facet_distance": report.min_facet_distance,
+            "min_hessian_eigenvalue": report.min_hessian_eigenvalue}
+        assert set(body) == {"extremal_affine", "residual_sup", "residual_l2", "grid",
+                             "diagnostics"}
+
+
+def test_extremal_affine_solved_once_per_polytope(monkeypatch):
+    from toriccontact import moments
+
+    solves = []
+    real = moments.polynomial_moments
+    monkeypatch.setattr(moments, "polynomial_moments",
+                        lambda *a: solves.append(1) or real(*a))
+    poly = tc.segment((1, 2))
+    re = tc.extremal_affine_function(poly)
+    report = tc.extremality_residual(tc.SymplecticPotential.canonical(poly),
+                                     tc.Grid.interior(poly, 8))
+    assert report.extremal_affine is re and len(solves) == 1
+    # kept on the object, not keyed by equality
+    twin = tc.segment((1, 2))
+    assert twin == poly and tc.extremal_affine_function(twin) == re
+    assert len(solves) == 2
+
+
+def test_relative_potential_compiles_on_first_evaluation(monkeypatch):
+    calls = []
+    for name in ("lambdify", "diff"):
+        real = getattr(sp, name)
+        monkeypatch.setattr(sp, name, lambda *a, _real=real, _name=name, **k:
+                            calls.append(_name) or _real(*a, **k))
+    rel = tc.RelativePotential(2, X0 ** 4 + X0 * X1)
+    assert calls == []
+    with pytest.raises(sp.SympifyError):
+        tc.RelativePotential(1, "x0 +")
+    u = tc.SymplecticPotential(tc.unit_box(2), rel)
+    tc.abreu_scalar_curvature(u, (0.3, 0.4))
+    assert calls.count("lambdify") == 1
+    tc.abreu_scalar_curvature(u, (0.5, 0.4))
+    rel.hessian((0.3, 0.4))
+    assert calls.count("lambdify") == 1
+    rel.value((0.3, 0.4))
+    assert calls.count("lambdify") == 2
+
+
 def test_extremal_affine_golden():
     assert tc.extremal_affine_function(tc.segment()).to_json() == {
         "normal": ["0"], "constant": "4"}
@@ -268,6 +592,21 @@ def test_abreu_separability():
     # the inverse Hessians are non-polynomial, so fourth-order finite
     # differences on the 1D and 2D grids differ by their truncation errors
     assert abs(tc.abreu_scalar_curvature(u, (0.4, 0.7)) - (r1 + r2)) < 1e-3
+
+
+def test_abreu_separability_exact():
+    # the closed form keeps R(u1 + u2) = R(u1) + R(u2) to rounding
+    seg, rng = tc.segment((1, 2)), random.Random(6)
+    f1, f2 = Fraction(1, 20) * X0 ** 4, Fraction(1, 30) * X0 ** 3 + X0 ** 2
+    u1 = tc.SymplecticPotential(seg, tc.RelativePotential(1, f1))
+    u2 = tc.SymplecticPotential(tc.segment(), tc.RelativePotential(1, f2))
+    u = tc.SymplecticPotential(tc.product(seg, tc.segment()),
+                               tc.RelativePotential(2, f1 + f2.subs(X0, X1)))
+    for _ in range(5):
+        x, y = rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.95)
+        r1 = tc.abreu_scalar_curvature(u1, (x,))
+        r2 = tc.abreu_scalar_curvature(u2, (y,))
+        assert abs(tc.abreu_scalar_curvature(u, (x, y)) - (r1 + r2)) < 1e-10 * max(abs(r1 + r2), 1.0)
 
 
 def test_average_split_examples():

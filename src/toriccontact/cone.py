@@ -8,7 +8,6 @@ exact rational precision, and the decision is made once per cone.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -56,15 +55,17 @@ class Cone:
 
         Meaningful only for labels of rank ``dim``: for other cones the
         result may be empty or hold both signs of a lineality direction.
+        The labels vanishing on each ray are recorded as `ray_active_sets`.
         """
-        return _extreme_rays(self.labels, self.dim)
+        rays = _extreme_rays(self.labels, self.dim)
+        self.__dict__["ray_active_sets"] = tuple(rays.values())
+        return tuple(rays)
 
     @cached_property
     def ray_active_sets(self) -> tuple[frozenset[int], ...]:
-        return tuple(
-            frozenset(i for i, l in enumerate(self.labels) if _dot(l, r) == 0)
-            for r in self.extreme_rays
-        )
+        """Indices of the labels vanishing on each ray; set by `extreme_rays`."""
+        self.extreme_rays
+        return self.__dict__["ray_active_sets"]
 
     @cached_property
     def _goodness(self) -> GoodnessResult:
@@ -123,9 +124,7 @@ class ReebVector:
         against the cone.
         """
         cols = [c for c in self.coefficient_columns() if any(e != 0 for e in c)]
-        if not cols:
-            return None
-        if intlinalg.rational_rank(cols) > 1:
+        if not cols or (len(cols) > 1 and intlinalg.rational_rank(cols) > 1):
             return None
         return cols[0]
 
@@ -212,21 +211,26 @@ def is_good(cone: Cone) -> GoodnessResult:
     return cone._goodness
 
 
+def _reeb_direction(cone: Cone, b, convexity_message: str):
+    """Coerce ``b`` on a strictly convex cone (else raise with the message)
+    and return it, its rational direction (``None`` for zero or irrational
+    vectors) and whether that direction is positive on every extreme ray."""
+    if not is_strictly_convex(cone):
+        raise InvalidConeError(convexity_message)
+    b = _coerce_reeb(cone, b)
+    vec = b.rational_direction()
+    inside = vec is not None and all(_dot(r, vec) > 0 for r in cone.extreme_rays)
+    return b, vec, inside
+
+
 def sasaki_cone_contains(cone: Cone, b: Union[ReebVector, RatVec]) -> bool:
     """True iff ``<x, b> > 0`` for every nonzero ``x`` in the closure of C."""
-    if not is_strictly_convex(cone):
-        raise InvalidConeError("Sasaki cone is defined for strictly convex cones")
-    b = _coerce_reeb(cone, b)
-    if not b.is_rational:
-        direction = b.rational_direction()
-        if direction is None:
-            raise SymbolicReebUndecidableError(
-                "sign of an irrational Reeb vector on the cone is undecidable"
-            )
-        vec = direction
-    else:
-        vec = b.rational
-    return all(_dot(r, vec) > 0 for r in cone.extreme_rays)
+    b, vec, inside = _reeb_direction(cone, b, "Sasaki cone is defined for strictly convex cones")
+    if vec is None and not b.is_rational:
+        raise SymbolicReebUndecidableError(
+            "sign of an irrational Reeb vector on the cone is undecidable"
+        )
+    return inside
 
 
 def is_quasi_regular(cone: Cone, b: Union[ReebVector, RatVec]) -> bool:
@@ -236,13 +240,11 @@ def is_quasi_regular(cone: Cone, b: Union[ReebVector, RatVec]) -> bool:
     test is not sign-decidable over the rationals, but quasi-regularity is
     already settled: such a vector is irregular.
     """
-    if not is_strictly_convex(cone):
-        raise InvalidConeError("quasi-regularity is defined for strictly convex cones")
-    b = _coerce_reeb(cone, b)
-    direction = b.rational_direction()
-    if direction is None:
+    _, vec, inside = _reeb_direction(
+        cone, b, "quasi-regularity is defined for strictly convex cones")
+    if vec is None:
         return False
-    if not all(_dot(r, direction) > 0 for r in cone.extreme_rays):
+    if not inside:
         raise NotAReebVectorError("vector is not in the Sasaki cone")
     return True
 
@@ -264,24 +266,14 @@ def characteristic_polytope(cone: Cone, b: Union[ReebVector, RatVec]) -> Charact
     raises ``InvalidPolytopeError`` with the message and first index that
     full validation of the slice gives.
     """
-    if not is_strictly_convex(cone):
-        raise InvalidConeError("slicing requires a strictly convex cone")
-    b = _coerce_reeb(cone, b)
-    normalized = False
-    if b.is_rational:
-        vec = b.rational
-    else:
-        direction = b.rational_direction()
-        if direction is None:
-            raise NotAReebVectorError("slicing requires a rational Reeb direction")
-        vec = direction
-        normalized = True
-    if not all(_dot(r, vec) > 0 for r in cone.extreme_rays):
+    b, vec, inside = _reeb_direction(cone, b, "slicing requires a strictly convex cone")
+    if vec is None and not b.is_rational:
+        raise NotAReebVectorError("slicing requires a rational Reeb direction")
+    if not inside:
         raise NotAReebVectorError("vector is not in the Sasaki cone")
 
     k = cone.dim
-    denom = math.lcm(*(c.denominator for c in vec))
-    b_int = intlinalg.primitive_part([int(c * denom) for c in vec])
+    b_int = intlinalg.primitive_part(vec)
     # Saturated integer basis of the hyperplane b^perp in t*, so the slice
     # coordinates carry the quotient lattice faithfully.
     directions = intlinalg.integer_kernel_basis([list(b_int)]).vectors
@@ -290,12 +282,8 @@ def characteristic_polytope(cone: Cone, b: Union[ReebVector, RatVec]) -> Charact
 
     # Before any label is built: a label parallel to b would have a zero
     # normal, and is reported as the redundant facet it is.
-    rays, actives = cone.extreme_rays, cone.ray_active_sets
-    _reject_redundant(
-        (tuple(r for r, act in zip(rays, actives) if i in act)
-         for i in range(len(cone.labels))),
-        intlinalg.rational_rank, k - 1,
-    )
+    _reject_redundant(dict(zip(cone.extreme_rays, cone.ray_active_sets)),
+                      len(cone.labels), intlinalg.rational_rank, k - 1)
     facets = []
     for l in cone.labels:
         normal = tuple(Fraction(_dot(v, l)) for v in directions)
@@ -307,7 +295,7 @@ def characteristic_polytope(cone: Cone, b: Union[ReebVector, RatVec]) -> Charact
     images = [[directions[a][j] for a in range(k - 1)] for j in range(k)]
     basis = intlinalg.lattice_row_basis(images)
     return CharacteristicSlice(
-        poly, intlinalg.LatticeBasis(k - 1, basis), normalized
+        poly, intlinalg.LatticeBasis(k - 1, basis), not b.is_rational
     )
 
 

@@ -73,14 +73,15 @@ def is_primitive(v: Sequence[int]) -> bool:
     return g == 1
 
 
-def primitive_part(v: Sequence[int]) -> IntVector:
-    """Divide ``v`` by the gcd of its entries (zero vector is rejected)."""
-    g = 0
-    for entry in v:
-        g = math.gcd(g, entry)
+def primitive_part(v: Sequence[int | Fraction]) -> IntVector:
+    """The primitive integer vector on the ray of a rational ``v`` (the zero
+    vector is rejected)."""
+    denom = math.lcm(*(entry.denominator for entry in v))
+    ints = [entry.numerator * (denom // entry.denominator) for entry in v]
+    g = math.gcd(*ints)
     if g == 0:
         raise InvalidArgumentError("zero vector has no primitive part")
-    return tuple(entry // g for entry in v)
+    return tuple(entry // g for entry in ints)
 
 
 def _identity(n: int) -> IntMatrix:
@@ -301,23 +302,16 @@ def solve_exact(
 
     When the system is underdetermined, free variables are set to zero.
     """
-    return _solve(a, b)[1]
-
-
-def _solve(
-    a: Sequence[Sequence[Fraction | int]], b: Sequence[Fraction | int]
-) -> tuple[int, Optional[FracVector]]:
-    """``(rank of A, solve_exact(A, b))`` from one elimination of ``[A | b]``."""
     cols = len(a[0]) if a else 0
     red, pivots, d, _ = _eliminate(
         [list(row) + [b[i]] for i, row in enumerate(a)], cols
     )
     if any(row[cols] != 0 for row in red[len(pivots):]):
-        return len(pivots), None
+        return None
     x = [Fraction(0)] * cols
     for row, col in zip(red, pivots):
         x[col] = Fraction(row[cols], d)
-    return len(pivots), tuple(x)
+    return tuple(x)
 
 
 def rational_kernel_basis(

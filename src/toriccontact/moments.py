@@ -1,9 +1,11 @@
 """Exact rational moments of labelled polytopes.
 
 Interior moments use a boundary-fan triangulation from a base vertex and the
-closed-form barycentric integral on each simplex.  Facet moments use the
-boundary measure dsigma = (Euclidean surface measure)/||n_i|| determined by
-the wedge relation n_i ^ dsigma = -dmu, which stays rational because only
+closed-form barycentric integral on each simplex; it reads the facets
+through each vertex from the incidences that the vertex enumeration
+recorded, without evaluating a label.  Facet moments use the boundary
+measure dsigma = (Euclidean surface measure)/||n_i|| determined by the
+wedge relation n_i ^ dsigma = -dmu, which stays rational because only
 ||n_i||^2 enters the simplex formula.
 
 Every call triangulates once: the polytope once for interior moments, each
@@ -30,24 +32,23 @@ Polynomial = Mapping[Monomial, Fraction]
 
 def triangulate(poly: LabelledPolytope) -> list[tuple[Point, ...]]:
     """Full-dimensional simplices (n+1 vertices each) covering the polytope."""
-    return _triangulate_face(poly, poly.vertices, poly.dim)
+    return _triangulate_face(poly._tight_facets, poly.vertices, poly.dim)
 
 
-def _triangulate_face(poly, vset: Sequence[Point], rank: int) -> list[tuple[Point, ...]]:
-    vset = sorted(vset)
+def _triangulate_face(tight, vset: Sequence[Point], rank: int) -> list[tuple[Point, ...]]:
+    """Fan from the least of the sorted face vertices ``vset`` over the face's
+    facets that miss it; ``tight`` maps a vertex to the facets through it."""
     if rank == 0:
         return [(vset[0],)]
     v0 = vset[0]
     simplices = []
     seen = set()
-    for f in poly.facets:
-        sub = tuple(sorted(v for v in vset if f(v) == 0))
-        if not sub or v0 in sub:
-            continue
+    for i in sorted(frozenset().union(*(tight[v] for v in vset)) - tight[v0]):
+        sub = tuple(v for v in vset if i in tight[v])
         if sub in seen or _affine_rank(sub) != rank - 1:
             continue
         seen.add(sub)
-        for s in _triangulate_face(poly, sub, rank - 1):
+        for s in _triangulate_face(tight, sub, rank - 1):
             simplices.append((v0,) + s)
     return simplices
 
@@ -115,13 +116,14 @@ def _facet_simplices(poly: LabelledPolytope,
                      facet_index: int) -> list[tuple[tuple[Point, ...], Fraction]]:
     """Simplices of one facet, each with its label-scaled sigma-measure."""
     f = poly.facets[facet_index]
-    fverts = [v for v in poly.vertices if f(v) == 0]
+    tight = poly._tight_facets
+    fverts = [v for v in poly.vertices if facet_index in tight[v]]
     if not fverts:
         raise InvalidPolytopeError("facet carries no vertices")
     n = poly.dim
     norm2 = sum(c * c for c in f.normal)
     pieces = []
-    for simplex in _triangulate_face(poly, fverts, n - 1):
+    for simplex in _triangulate_face(tight, fverts, n - 1):
         base = simplex[0]
         rows = [
             [simplex[j + 1][i] - base[i] for i in range(n)]

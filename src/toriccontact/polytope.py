@@ -5,6 +5,11 @@ affine functions ``l_i(x) = <x, normal_i> + constant_i`` together with the
 functions themselves (the labels carry geometric meaning, so redundant
 facets are rejected rather than pruned).  All data is rational and every
 decision here is exact.
+
+One routine, `_extreme_rays`, enumerates the rays of a cone together with
+the labels vanishing on each.  Cones use it directly; a polytope's vertices
+are the rays of the cone over it, and their vanishing labels are the
+vertex-facet incidences that validation and triangulation read.
 """
 
 from __future__ import annotations
@@ -108,7 +113,7 @@ class LabelledPolytope:
     # -- construction-time validation -------------------------------------
 
     def _validate(self):
-        normals = [f.normal for f in self.facets]
+        normals = [intlinalg.primitive_part(f.normal) for f in self.facets]
         if intlinalg.rational_rank(normals) < self.dim:
             raise InvalidPolytopeError("normals do not span; region is unbounded")
         if _extreme_rays(normals, self.dim):
@@ -120,26 +125,29 @@ class LabelledPolytope:
             raise InvalidPolytopeError("region is empty")
         if _affine_rank(verts) < self.dim:
             raise InvalidPolytopeError("region has empty interior")
-        _reject_redundant(
-            (tuple(v for v in verts if f(v) == 0) for f in self.facets),
-            _affine_rank, self.dim - 1,
-        )
+        _reject_redundant(self._tight_facets, len(self.facets), _affine_rank, self.dim - 1)
 
     # -- derived data ------------------------------------------------------
 
     @cached_property
     def vertices(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Exact vertex set, sorted for determinism."""
-        n, d = self.dim, len(self.facets)
-        found = set()
-        for subset in itertools.combinations(range(d), n):
-            rows = [self.facets[i].normal for i in subset]
-            rhs = [-self.facets[i].constant for i in subset]
-            # A square system of rank n is always consistent.
-            rank, x = intlinalg._solve(rows, rhs)
-            if rank == n and all(f(x) >= 0 for f in self.facets):
-                found.add(x)
-        return tuple(sorted(found))
+        """Exact vertex set, sorted for determinism: the rays with t > 0 of
+        the cone ``{(x, t) : <n_i, x> + c_i t >= 0}`` over P, rescaled to
+        t = 1. Each ray's vanishing labels are recorded as `_tight_facets`."""
+        rows = [intlinalg.primitive_part(f.as_vector()) for f in self.facets]
+        tight = {
+            tuple(Fraction(c, ray[-1]) for c in ray[:-1]): active
+            for ray, active in _extreme_rays(rows, self.dim + 1).items()
+            if ray[-1] > 0
+        }
+        self._tight_facets = dict(sorted(tight.items()))
+        return tuple(self._tight_facets)
+
+    @cached_property
+    def _tight_facets(self) -> dict[tuple[Fraction, ...], frozenset[int]]:
+        """Vertex -> indices of the facets through it; set by `vertices`."""
+        self.vertices
+        return self.__dict__["_tight_facets"]
 
     @cached_property
     def _float_labels(self) -> tuple[tuple[tuple[float, ...], ...], tuple[float, ...]]:
@@ -267,20 +275,21 @@ class CharacteristicResult:
         return self.ok
 
 
-def _reject_redundant(incidences, rank, full_rank: int) -> None:
-    """Raise for the first facet that is redundant.
+def _reject_redundant(incidence, count: int, rank, full_rank: int) -> None:
+    """Raise for the first of ``count`` facets that is redundant.
 
-    ``incidences`` gives, facet by facet, the points of a fixed generating
-    set that lie on it (vertices, or the rays of a cone over the polytope)
-    as tuples in one canonical order.  A facet is redundant when its points
+    ``incidence`` maps each point of a fixed generating set (vertices, or
+    the rays of a cone over the polytope), in one canonical order, to the
+    indices of the facets through it.  A facet is redundant when its points
     have ``rank`` other than ``full_rank``, or when an earlier facet has the
     same points: two labels on one facet, of which the later is rejected.
     """
     seen = set()
-    for i, points in enumerate(incidences):
-        if points in seen or rank(points) != full_rank:
+    for i in range(count):
+        on = tuple(p for p, active in incidence.items() if i in active)
+        if on in seen or rank(on) != full_rank:
             raise InvalidPolytopeError(f"facet {i} is redundant")
-        seen.add(points)
+        seen.add(on)
 
 
 def _affine_rank(points) -> int:
@@ -293,28 +302,33 @@ def _affine_rank(points) -> int:
     return intlinalg.rational_rank(diffs)
 
 
-def _extreme_rays(normals, dim: int) -> tuple[intlinalg.IntVector, ...]:
-    """Primitive integer generators of the extreme rays of ``{x : <n_i, x> >= 0}``.
+def _extreme_rays(labels, dim: int) -> dict[intlinalg.IntVector, frozenset[int]]:
+    """Extreme rays of ``{x : <l_i, x> >= 0}`` with the labels vanishing on each.
 
-    Each candidate spans the one-dimensional kernel of some ``dim - 1``
-    normals and is kept, with either sign, when it satisfies every inequality.
-    For normals of rank ``dim`` these are exactly the extreme rays, and there
-    are none iff the cone is the origin alone.
+    Maps each primitive integer generator, in sorted order, to the indices
+    of the labels that vanish on it.  Each candidate spans the
+    one-dimensional kernel of some ``dim - 1`` labels and is kept, with
+    either sign, when it satisfies every inequality.  For labels of rank
+    ``dim`` these are exactly the extreme rays, and there are none iff the
+    cone is the origin alone.
     """
-    rays = set()
-    for sub in itertools.combinations(normals, dim - 1):
+    rays = {}
+    for sub in itertools.combinations(labels, dim - 1):
         # In dimension 1 the only subset is empty and its kernel is all of Q.
         kern = intlinalg.rational_kernel_basis(sub or [[0] * dim])
         if len(kern) != 1:
             continue
-        denom = math.lcm(*(c.denominator for c in kern[0]))
-        g = intlinalg.primitive_part(
-            [c.numerator * (denom // c.denominator) for c in kern[0]]
-        )
-        for cand in (g, tuple(-c for c in g)):
-            if all(sum(a * b for a, b in zip(n, cand)) >= 0 for n in normals):
-                rays.add(cand)
-    return tuple(sorted(rays))
+        g = intlinalg.primitive_part(kern[0])
+        neg = tuple(-c for c in g)
+        if g in rays or neg in rays:
+            continue  # both feasible signs were kept when first found
+        dots = [sum(a * b for a, b in zip(l, g)) for l in labels]
+        active = frozenset(i for i, t in enumerate(dots) if t == 0)
+        if all(t >= 0 for t in dots):
+            rays[g] = active
+        if all(t <= 0 for t in dots):
+            rays[neg] = active
+    return dict(sorted(rays.items()))
 
 
 def _matroid_components(vectors) -> list[set[int]]:

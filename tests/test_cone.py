@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import toriccontact as tc
@@ -28,9 +28,12 @@ from conftest import (
 
 
 def brute_force_faces(cone):
-    """Reference for ``proper_faces``: intersect the ray active sets over
-    every nonempty ray subset (2^rays intersections)."""
-    actives = cone.ray_active_sets
+    """Reference for ``proper_faces``: intersect the ray active sets,
+    recomputed from the labels, over every nonempty ray subset (2^rays
+    intersections)."""
+    actives = [frozenset(i for i, l in enumerate(cone.labels)
+                         if sum(a * b for a, b in zip(l, r)) == 0)
+               for r in cone.extreme_rays]
     seen = set()
     for size in range(1, len(actives) + 1):
         for combo in itertools.combinations(actives, size):
@@ -180,6 +183,48 @@ def test_half_space_cone_has_no_sasaki_cone():
             tc.characteristic_polytope(half_space, b)
 
 
+def _decision(decide, cone, b):
+    """What ``decide(cone, b)`` returns, or the error type and message it raises."""
+    try:
+        return decide(cone, b)
+    except ToricError as exc:
+        return type(exc), str(exc)
+
+
+def test_reeb_checks_keep_their_errors(square_cone):
+    half_space = tc.Cone(3, ((1, 0, 0),))
+    irrational = tc.ReebVector((0, 0, 1), symbolic=((1, 0, 0),))
+    outside, zero, short = (0, 0, -1), (0, 0, 0), (0, 1)
+    not_in = (NotAReebVectorError, "vector is not in the Sasaki cone")
+    wrong_dim = (NotAReebVectorError, "Reeb vector has wrong dimension")
+    expected = {
+        tc.sasaki_cone_contains: {
+            "half": (InvalidConeError, "Sasaki cone is defined for strictly convex cones"),
+            "irrational": (SymbolicReebUndecidableError,
+                           "sign of an irrational Reeb vector on the cone is undecidable"),
+            "outside": False, "zero": False, "short": wrong_dim,
+        },
+        tc.is_quasi_regular: {
+            "half": (InvalidConeError, "quasi-regularity is defined for strictly convex cones"),
+            "irrational": False, "outside": not_in, "zero": False, "short": wrong_dim,
+        },
+        tc.characteristic_polytope: {
+            "half": (InvalidConeError, "slicing requires a strictly convex cone"),
+            "irrational": (NotAReebVectorError, "slicing requires a rational Reeb direction"),
+            "outside": not_in, "zero": not_in, "short": wrong_dim,
+        },
+    }
+    cases = {"half": (half_space, irrational), "irrational": (square_cone, irrational),
+             "outside": (square_cone, outside), "zero": (square_cone, zero),
+             "short": (square_cone, short)}
+    for decide, outcomes in expected.items():
+        for name, (cone, b) in cases.items():
+            assert _decision(decide, cone, b) == outcomes[name], (decide.__name__, name)
+    for b in ((-1, 5, 0), outside, zero):  # every vector, on a half-space cone
+        for decide, outcomes in expected.items():
+            assert _decision(decide, half_space, b) == outcomes["half"]
+
+
 def test_characteristic_polytope_square(square_cone):
     slc = tc.characteristic_polytope(square_cone, (0, 0, 1))
     assert sorted(tuple(map(Fraction, v)) for v in slc.polytope.vertices) == [
@@ -276,6 +321,9 @@ def _outcome(build):
 
 
 @given(sliced_cones())
+# A combination parallel to b: its slice label has a zero normal.
+@example((tc.Cone(3, ((1, 0, 2), (-1, 1, -2), (2, 0, 5), (-2, 1, -5))),
+          (-1, 4, -2), [1, 2, 2, 2], 4))
 @settings(max_examples=40, deadline=None)
 def test_trusted_slice_matches_validated(case):
     cone, b, weights, position = case
@@ -290,20 +338,23 @@ def test_trusted_slice_matches_validated(case):
     labels = list(cone.labels)
     labels.insert(position, tuple(c // g for c in combo))
     inserted = tc.Cone(cone.dim, tuple(labels))
+    normal = tuple(sum(w * f.normal[a] for w, f in zip(weights, poly.facets)) / g
+                   for a in range(poly.dim))
+    constant = sum(w * f.constant for w, f in zip(weights, poly.facets)) / g
 
     def validated():
-        added = AffineFunction(
-            tuple(sum(w * f.normal[a] for w, f in zip(weights, poly.facets)) / g
-                  for a in range(poly.dim)),
-            sum(w * f.constant for w, f in zip(weights, poly.facets)) / g,
-        )
         facets = list(poly.facets)
-        facets.insert(position, added)
+        facets.insert(position, AffineFunction(normal, constant))
         LabelledPolytope(poly.dim, facets)
 
     trusted = _outcome(lambda: tc.characteristic_polytope(inserted, b))
     assert trusted is not None
-    assert trusted == _outcome(validated)
+    if any(normal):
+        assert trusted == _outcome(validated)
+    else:
+        # A label parallel to b vanishes on no ray: a redundant facet, which
+        # no AffineFunction can stand for.
+        assert trusted == (InvalidPolytopeError, f"facet {position} is redundant")
 
 
 def test_characteristic_polytope_does_not_validate(monkeypatch, square_cone):

@@ -28,6 +28,7 @@ def test_primitive():
     assert il.is_primitive((2, 3))
     assert not il.is_primitive((2, 4))
     assert il.primitive_part((4, -6)) == (2, -3)
+    assert il.primitive_part((Fraction(1, 2), Fraction(-3, 4), 0)) == (2, -3, 0)
     with pytest.raises(InvalidArgumentError):
         il.is_primitive((0, 0))
 

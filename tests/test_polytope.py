@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -8,9 +9,10 @@ from hypothesis import strategies as st
 
 import toriccontact as tc
 from toriccontact.errors import InvalidPolytopeError
+from toriccontact.intlinalg import rational_rank, solve_exact
 from toriccontact.polytope import AffineFunction, LabelledPolytope
 
-from conftest import assert_same_as_validated, rand_characteristic_simplex
+from conftest import assert_same_as_validated, rand_characteristic_simplex, rand_unimodular
 
 
 def test_segment_vertices():
@@ -198,3 +200,88 @@ def test_join_polytope_does_not_revalidate(monkeypatch):
     joined = tc.join_polytope(p1, p2, 2, 3)
     assert len(joined.vertices) == 12
     assert calls == []
+
+
+# -- vertex enumeration against subset-and-solve --------------------------------
+
+
+def brute_force_vertices(dim, facets):
+    """Reference for `vertices` and `_tight_facets`: solve every nonsingular
+    system of ``dim`` labels set to zero, keep the solutions that satisfy
+    every label, and evaluate the labels there for the tight ones."""
+    found = {}
+    for subset in itertools.combinations(facets, dim):
+        rows = [f.normal for f in subset]
+        if rational_rank(rows) < dim:
+            continue
+        x = solve_exact(rows, [-f.constant for f in subset])
+        if all(f(x) >= 0 for f in facets):
+            found[x] = frozenset(i for i, f in enumerate(facets) if f(x) == 0)
+    return sorted(found.items())
+
+
+def assert_enumeration_matches(dim, facets):
+    poly = LabelledPolytope._trusted(dim, facets)
+    expected = brute_force_vertices(dim, facets)
+    assert poly.vertices == tuple(v for v, _ in expected)
+    assert list(poly._tight_facets.items()) == expected
+
+
+def transformed(poly, rng):
+    """The image of ``poly`` under a random GL(n, Z) map and rational
+    translation, with every label rescaled by a positive rational."""
+    n = poly.dim
+    u = rand_unimodular(n, rng) if n > 1 else [[rng.choice((1, -1))]]
+    shift = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
+    facets = []
+    for f in poly.facets:
+        # l(U y + shift) = <U^T n, y> + l(shift)
+        r = Fraction(rng.randint(1, 5), rng.randint(1, 5))
+        normal = tuple(r * sum(u[i][j] * f.normal[i] for i in range(n)) for j in range(n))
+        facets.append(AffineFunction(normal, r * f(shift)))
+    return LabelledPolytope(n, facets)
+
+
+def box_or_simplex(kind, n):
+    return tc.unit_box(n) if kind == "box" else tc.standard_simplex(n)
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(("box", "simplex")),
+       st.sampled_from(("box", "simplex", None)), st.integers(1, 4), st.integers(1, 3))
+@settings(max_examples=30, deadline=None)
+def test_vertices_match_brute_force(seed, kind, second, n, m):
+    poly = box_or_simplex(kind, n)
+    if second is not None and n + m <= 4:
+        poly = tc.product(poly, box_or_simplex(second, m))
+    poly = transformed(poly, random.Random(seed))
+    assert_enumeration_matches(poly.dim, poly.facets)
+
+
+def labels(*rows):
+    return [AffineFunction(row[:-1], row[-1]) for row in rows]
+
+
+SQUARE = ((1, 0, 0), (0, 1, 0), (-1, 0, 1), (0, -1, 1))
+
+
+@pytest.mark.parametrize("dim, rows, message", [
+    (2, ((1, 0, 0), (-1, 0, 1), (2, 0, 1)), "normals do not span; region is unbounded"),
+    (2, ((Fraction(1, 2), 0, 0), (Fraction(-1, 3), 0, 1), (0, Fraction(3, 4), 0)),
+     "region is unbounded"),
+    (2, ((1, 0, 0), (0, 1, 0), (-1, -1, -1)), "region is empty"),
+    (1, ((1, -2), (-1, 1)), "region is empty"),
+    (2, ((1, 0, 0), (0, 1, 0), (-1, -1, 0)), "region has empty interior"),
+    (1, ((1, 0), (-1, 0)), "region has empty interior"),
+    (2, SQUARE + ((1, 1, 5),), "facet 4 is redundant"),
+    (2, SQUARE + ((1, 1, 0),), "facet 4 is redundant"),
+    (2, ((1, 1, 0),) + SQUARE, "facet 0 is redundant"),
+    (2, SQUARE[:2] + ((0, 3, 0),) + SQUARE[2:], "facet 2 is redundant"),
+    (3, ((1, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (-1, -1, -1, 1)),
+     "facet 1 is redundant"),
+], ids=["rank", "unbounded", "empty", "empty1", "flat", "flat1", "untouched",
+        "vertex-only", "redundant-first", "scaled-repeat", "repeat"])
+def test_invalid_inputs_keep_their_errors(dim, rows, message):
+    facets = labels(*rows)
+    with pytest.raises(InvalidPolytopeError, match=f"^{message}$"):
+        LabelledPolytope(dim, facets)
+    assert_enumeration_matches(dim, facets)

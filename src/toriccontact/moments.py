@@ -1,12 +1,15 @@
 """Exact rational moments of labelled polytopes.
 
-Interior moments use a boundary-fan triangulation from a base vertex and the
-closed-form barycentric integral on each simplex; it reads the facets
-through each vertex from the incidences that the vertex enumeration
-recorded, without evaluating a label.  Facet moments use the boundary
-measure dsigma = (Euclidean surface measure)/||n_i|| determined by the
-wedge relation n_i ^ dsigma = -dmu, which stays rational because only
-||n_i||^2 enters the simplex formula.
+Interior moments use a boundary-fan triangulation from a base vertex; it
+reads the facets through each vertex from the incidences that the vertex
+enumeration recorded, without evaluating a label.  Facet moments use the
+boundary measure dsigma = (Euclidean surface measure)/||n_i|| determined by
+the wedge relation n_i ^ dsigma = -dmu, which stays rational because only
+||n_i||^2 enters the simplex formula.  On each simplex, interior or facet,
+one integer recursion for the complete homogeneous polynomials in the
+vertices gives every requested monomial at once (Baldoni, Berline,
+De Loera, Koeppe, Vergne, "How to integrate a polynomial over a simplex",
+Math. Comp. 2011).
 
 Every call triangulates once: the polytope once for interior moments, each
 facet once for boundary moments, and every requested polynomial is then
@@ -22,7 +25,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from . import intlinalg
-from .errors import InvalidPolytopeError
+from .errors import InvalidArgumentError, InvalidPolytopeError
 from .polytope import LabelledPolytope, _affine_rank
 
 Point = tuple[Fraction, ...]
@@ -61,46 +64,11 @@ def simplex_volume(verts: Sequence[Point]) -> Fraction:
     return abs(intlinalg.determinant(rows)) / math.factorial(n)
 
 
-def _simplex_monomial_integral(verts: Sequence[Point], alpha: Monomial,
-                               measure: Fraction) -> Fraction:
-    """Integral of x^alpha over a simplex of intrinsic dimension m.
-
-    Uses int_simplex lambda^beta = measure * m! * beta! / (m + |beta|)!
-    after expanding x = sum_j lambda_j w_j in barycentric coordinates.
-    """
-    m = len(verts) - 1
-    terms: dict[tuple[int, ...], Fraction] = {tuple([0] * (m + 1)): Fraction(1)}
-    for i, power in enumerate(alpha):
-        for _ in range(power):
-            new: dict[tuple[int, ...], Fraction] = {}
-            for beta, coeff in terms.items():
-                for j in range(m + 1):
-                    wji = verts[j][i]
-                    if wji == 0:
-                        continue
-                    nb = list(beta)
-                    nb[j] += 1
-                    key = tuple(nb)
-                    new[key] = new.get(key, Fraction(0)) + coeff * wji
-            terms = new
-            if not terms:
-                return Fraction(0)
-    total_deg = sum(alpha)
-    scale = measure * Fraction(math.factorial(m), math.factorial(m + total_deg))
-    out = Fraction(0)
-    for beta, coeff in terms.items():
-        out += coeff * math.prod(math.factorial(b) for b in beta)
-    return scale * out
-
-
 def polynomial_moments(poly: LabelledPolytope,
                        polys: Iterable[Polynomial]) -> list[Fraction]:
     """Exact interior moments of several polynomials from one triangulation."""
-    polys = list(polys)
-    if any(len(alpha) != poly.dim for p in polys for alpha in p):
-        raise InvalidPolytopeError("monomial exponent has wrong dimension")
     pieces = [(s, simplex_volume(s)) for s in triangulate(poly)]
-    return _integrate(pieces, polys)
+    return _integrate(poly.dim, pieces, list(polys))
 
 
 def boundary_polynomial_moments(poly: LabelledPolytope,
@@ -109,7 +77,7 @@ def boundary_polynomial_moments(poly: LabelledPolytope,
     each facet once for all the polynomials."""
     pieces = [piece for i in range(len(poly.facets))
               for piece in _facet_simplices(poly, i)]
-    return _integrate(pieces, list(polys))
+    return _integrate(poly.dim, pieces, list(polys))
 
 
 def _facet_simplices(poly: LabelledPolytope,
@@ -137,12 +105,55 @@ def _facet_simplices(poly: LabelledPolytope,
     return pieces
 
 
-def _integrate(pieces, polys: list[Polynomial]) -> list[Fraction]:
-    """Integrate each polynomial over the union of (simplex, measure) pieces,
-    each distinct monomial once per simplex."""
+def _integrate(dim: int, pieces, polys: list[Polynomial]) -> list[Fraction]:
+    """Integrate each polynomial over the union of (simplex, measure) pieces.
+
+    On a simplex with vertices w_0..w_m,
+        int x^alpha = measure * m! * alpha! / (m + |alpha|)! * [t^alpha] h_|alpha|
+    where h_d is the complete homogeneous polynomial of degree d in the
+    linear forms <w_j, t>.  One recursion h_d += <w_j, t> h_(d-1), over the
+    vertices and then the degrees in ascending order, yields every requested
+    monomial of the simplex at once.  The vertices are scaled by the lcm q of
+    their denominators, so the recursion runs in integers and the degree-d
+    coefficients are divided by q**d at the end.  A key beyond the
+    componentwise maximum of the requested exponents never reaches one of
+    them and is dropped.
+    """
+    alphas = {alpha for p in polys for alpha in p}
+    for alpha in alphas:
+        if len(alpha) != dim:
+            raise InvalidPolytopeError("monomial exponent has wrong dimension")
+        if not all(isinstance(a, int) and a >= 0 for a in alpha):
+            raise InvalidArgumentError("monomial exponents must be non-negative integers")
+    if not alphas or not pieces:
+        return [Fraction(0)] * len(polys)
+    top = tuple(max(alpha[i] for alpha in alphas) for i in range(dim))
+    degree = max(sum(alpha) for alpha in alphas)
+    zero = tuple([0] * dim)
+    sums = dict.fromkeys(alphas, Fraction(0))
+    for verts, measure in pieces:
+        q = math.lcm(*(c.denominator for w in verts for c in w))
+        h: list[dict[Monomial, int]] = [{zero: 1}] + [{} for _ in range(degree)]
+        for w in verts:
+            form = [(i, c.numerator * (q // c.denominator)) for i, c in enumerate(w) if c]
+            for d in range(1, degree + 1):
+                hd = h[d]
+                for key, coeff in h[d - 1].items():
+                    for i, wi in form:
+                        if key[i] < top[i]:
+                            nk = key[:i] + (key[i] + 1,) + key[i + 1:]
+                            hd[nk] = hd.get(nk, 0) + coeff * wi
+        for alpha in alphas:
+            d = sum(alpha)
+            coeff = h[d].get(alpha)
+            if coeff:
+                sums[alpha] += measure * Fraction(coeff, q ** d)
+    m = len(pieces[0][0]) - 1
     moment = {
-        alpha: sum((_simplex_monomial_integral(s, alpha, m) for s, m in pieces), Fraction(0))
-        for alpha in {alpha for p in polys for alpha in p}
+        alpha: total * Fraction(
+            math.factorial(m) * math.prod(math.factorial(a) for a in alpha),
+            math.factorial(m + sum(alpha)))
+        for alpha, total in sums.items()
     }
     return [sum((c * moment[alpha] for alpha, c in p.items()), Fraction(0))
             for p in polys]
@@ -164,7 +175,7 @@ def polynomial_moment(poly: LabelledPolytope, coeffs: Polynomial) -> Fraction:
 def facet_sigma_moment(poly: LabelledPolytope, facet_index: int,
                        alpha: Monomial) -> Fraction:
     """Moment of x^alpha over one facet against the label-scaled measure."""
-    return _integrate(_facet_simplices(poly, facet_index), [{tuple(alpha): 1}])[0]
+    return _integrate(poly.dim, _facet_simplices(poly, facet_index), [{tuple(alpha): 1}])[0]
 
 
 def boundary_moment(poly: LabelledPolytope, alpha: Monomial) -> Fraction:

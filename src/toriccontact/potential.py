@@ -7,7 +7,10 @@ extremal affine function, boundary pairings, least-squares projections);
 floating point enters only through curvature evaluation, which applies the
 closed form of Abreu's curvature in the Hessian of the potential and its
 third and fourth derivatives to all points at once, in fixed-size blocks.
-It reads the labels as float normal and constant arrays.
+It reads the labels as float normal and constant arrays.  `Grid.interior`
+evaluates the labels on the whole mesh in floats and runs the exact rational
+membership test only on points whose float value lies within its rounding
+bound of zero, so its points are those of the exact test.
 
 Importing this module loads numpy. sympy loads only where an expression is
 parsed, differentiated or expanded: `expression_from_json`, a relative
@@ -293,12 +296,25 @@ class Grid:
             axes.append([start + k * s for k in range(per_axis)])
             spacings.append(s)
         spacing = max(spacings)
-        pts = []
-        for idx in np.ndindex(*([per_axis] * n)):
-            x = tuple(axes[i][idx[i]] for i in range(n))
-            if all(float(f(x)) > 0 for f in poly.facets):
-                pts.append(x)
-        return cls(tuple(pts), spacing, per_axis, margin_cells)
+        # The mesh in np.ndindex order, and every label on it in floats.  A
+        # computed value further from 0 than its rounding bound (a generous
+        # multiple of the sum-of-products error bound, plus the least normal
+        # float for underflow) has the sign of the exact value; only points
+        # with a value inside the bound get the exact test, on the float
+        # point read as a rational.
+        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
+        normals, constants = (np.array(a, float) for a in poly._float_labels)
+        values = mesh @ normals.T + constants
+        bound = (4 * (n + 2) * np.finfo(float).eps
+                 * (np.abs(mesh) @ np.abs(normals).T + np.abs(constants))
+                 + np.finfo(float).tiny)
+        keep = (values > bound).all(axis=1)
+        unsure = ~keep & ~(values < -bound).any(axis=1)
+        pts = mesh.tolist()
+        for k in np.flatnonzero(unsure):
+            keep[k] = all(float(f(pts[k])) > 0 for f in poly.facets)
+        return cls(tuple(tuple(x) for x, kept in zip(pts, keep) if kept),
+                   spacing, per_axis, margin_cells)
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,47 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
+
 import toriccontact as tc
 from toriccontact import moments
+from toriccontact.errors import InvalidArgumentError, InvalidPolytopeError
+
+
+def simplex_monomial_integrals(verts, alphas, measure):
+    """Oracle: the integrals of the monomials x^alpha over a simplex of
+    intrinsic dimension m, each expanded on its own in barycentric coordinates.
+
+    With the vertices scaled to integers by the lcm q of their denominators,
+    (q x)^alpha is expanded as a polynomial in lambda, q x = sum_j lambda_j q w_j,
+    from the expansion of (q x)^alpha / (q x_i) for the last i with
+    alpha_i > 0, and integrated by
+    int_simplex lambda^beta = measure * m! * beta! / (m + |beta|)!.
+    """
+    m = len(verts) - 1
+    q = math.lcm(*(Fraction(c).denominator for w in verts for c in w))
+    scaled = [[int(c * q) for c in w] for w in verts]
+    expansions = {tuple([0] * len(verts[0])): {tuple([0] * (m + 1)): 1}}
+
+    def expand(alpha):
+        if alpha not in expansions:
+            i = max(k for k, a in enumerate(alpha) if a)
+            terms = {}
+            for beta, coeff in expand(alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]).items():
+                for j in range(m + 1):
+                    if scaled[j][i]:
+                        key = beta[:j] + (beta[j] + 1,) + beta[j + 1:]
+                        terms[key] = terms.get(key, 0) + coeff * scaled[j][i]
+            expansions[alpha] = terms
+        return expansions[alpha]
+
+    out = []
+    for alpha in alphas:
+        d = sum(alpha)
+        total = sum(coeff * math.prod(map(math.factorial, beta))
+                    for beta, coeff in expand(tuple(alpha)).items())
+        out.append(measure * Fraction(math.factorial(m) * total, math.factorial(m + d) * q ** d))
+    return out
 
 
 def test_segment_moments():
@@ -124,3 +163,58 @@ def test_extremal_affine_function_triangulates_once(monkeypatch):
                         lambda poly: calls.append(poly) or real(poly))
     tc.extremal_affine_function(tc.unit_box(2))
     assert len(calls) == 1
+
+
+def _rand_rational(rng):
+    return Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 4, 5, 7)))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_integrate_matches_per_monomial_oracle(dim):
+    # Every monomial of degree <= 6 over a seeded rational simplex: a
+    # full-dimensional one with its volume (interior moments) and a
+    # codimension-one one with a rational measure (boundary moments).
+    rng = random.Random(100 + dim)
+    alphas = [a for a in itertools.product(range(7), repeat=dim) if sum(a) <= 6]
+    for m in (dim, dim - 1):
+        measure = 0
+        while not measure:
+            s = tuple(tuple(_rand_rational(rng) for _ in range(dim)) for _ in range(m + 1))
+            measure = (moments.simplex_volume(s) if m == dim
+                       else Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+        got = moments._integrate(dim, [(s, measure)], [{a: 1} for a in alphas])
+        assert got == simplex_monomial_integrals(s, alphas, measure)
+
+
+def test_moments_of_polytopes_match_per_monomial_oracle():
+    rng = random.Random(5)
+    box = tc.product(tc.segment((2, 3)), tc.standard_simplex(2)).rescale(Fraction(3, 5))
+    polys = [{(rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 3)): _rand_rational(rng)
+              for _ in range(4)} for _ in range(5)]
+    alphas = sorted({a for p in polys for a in p})
+
+    def oracle(pieces):
+        moment = {}
+        for s, w in pieces:
+            for a, v in zip(alphas, simplex_monomial_integrals(s, alphas, w)):
+                moment[a] = moment.get(a, 0) + v
+        return [sum(c * moment[a] for a, c in p.items()) for p in polys]
+
+    interior = [(s, moments.simplex_volume(s)) for s in moments.triangulate(box)]
+    boundary = [piece for i in range(len(box.facets))
+                for piece in moments._facet_simplices(box, i)]
+    assert moments.polynomial_moments(box, polys) == oracle(interior)
+    assert moments.boundary_polynomial_moments(box, polys) == oracle(boundary)
+
+
+def test_exponents_are_validated():
+    with pytest.raises(InvalidArgumentError):
+        moments.monomial_moment(tc.segment(), (-1,))
+    with pytest.raises(InvalidArgumentError):
+        moments.monomial_moment(tc.unit_box(2), (-1, 2))
+    with pytest.raises(InvalidArgumentError):
+        moments.boundary_moment(tc.unit_box(2), (1, 0.5))
+    with pytest.raises(InvalidPolytopeError, match="wrong dimension"):
+        moments.monomial_moment(tc.unit_box(2), (1,))
+    with pytest.raises(InvalidPolytopeError, match="wrong dimension"):
+        moments.boundary_moment(tc.unit_box(2), (1,))

@@ -15,6 +15,8 @@ from toriccontact.errors import (
     OutOfDomainError,
 )
 
+from conftest import rand_unimodular
+
 X0 = sp.Symbol("x0", real=True)
 X1 = sp.Symbol("x1", real=True)
 
@@ -436,6 +438,59 @@ def test_curvature_memory_does_not_grow_with_points():
         extra.append(peak - scan.curvature.nbytes)
     # the working set is one block's, whatever the number of points
     assert extra[1] < 1.05 * extra[0] + 2 ** 16, extra
+
+
+def _grid_oracle(poly, per_axis, margin_cells=4):
+    """The mesh points, in np.ndindex order, at which every label is positive
+    when the float point is read as a rational."""
+    n = poly.dim
+    axes = []
+    for i in range(n):
+        lo = min(float(v[i]) for v in poly.vertices)
+        hi = max(float(v[i]) for v in poly.vertices)
+        s = (hi - lo) / (per_axis - 1 + 2 * margin_cells)
+        axes.append([lo + margin_cells * s + k * s for k in range(per_axis)])
+    exact = [[Fraction(c) for c in axis] for axis in axes]
+    points = []
+    for idx in np.ndindex(*([per_axis] * n)):
+        if all(f(tuple(exact[i][idx[i]] for i in range(n))) > 0 for f in poly.facets):
+            points.append(tuple(axes[i][idx[i]] for i in range(n)))
+    return tuple(points)
+
+
+def _unimodular_image(poly, u):
+    """The labelled polytope with labels l(U x), U in GL(n, Z)."""
+    n = poly.dim
+    return tc.LabelledPolytope(n, [
+        tc.AffineFunction(tuple(sum(u[i][j] * f.normal[i] for i in range(n))
+                                for j in range(n)), f.constant)
+        for f in poly.facets])
+
+
+def test_grid_membership_matches_exact_oracle(monkeypatch):
+    rng = random.Random(3)
+    polys = [tc.standard_simplex(2), tc.standard_simplex(2).rescale(Fraction(7, 3)),
+             tc.standard_simplex(3), tc.standard_simplex(3).rescale(Fraction(5, 2))]
+    for _ in range(3):
+        a, b = rng.randint(1, 4), rng.randint(1, 4)
+        polys.append(tc.LabelledPolytope(2, [
+            tc.AffineFunction((1, 0), 0), tc.AffineFunction((0, 1), 0),
+            tc.AffineFunction((-a, -b), Fraction(rng.randint(1, 9), rng.randint(1, 3)))]))
+    for shape in (tc.standard_simplex(2), tc.unit_box(2)):
+        polys += [_unimodular_image(shape, rand_unimodular(2, rng)) for _ in range(3)]
+    cases = [(poly, per_axis, _grid_oracle(poly, per_axis)) for poly in polys
+             for per_axis in ((8, 16) if poly.dim == 2 else (5, 8))]
+    exact_tests = []
+    call = tc.AffineFunction.__call__
+    monkeypatch.setattr(tc.AffineFunction, "__call__",
+                        lambda f, x: exact_tests.append(x) or call(f, x))
+    for poly, per_axis, oracle in cases:
+        exact_tests.clear()
+        assert tc.Grid.interior(poly, per_axis).points == oracle
+        # points on a slanted facet land within the float bound and are
+        # placed by the exact test
+        if poly is polys[0] and per_axis == 16:
+            assert exact_tests
 
 
 def test_empty_grid():

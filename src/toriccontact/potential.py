@@ -12,21 +12,27 @@ evaluates the labels on the whole mesh in floats and runs the exact rational
 membership test only on points whose float value lies within its rounding
 bound of zero, so its points are those of the exact test.
 
-Importing this module loads numpy. sympy loads only where an expression is
-parsed, differentiated or expanded: `expression_from_json`, a relative
-potential with a non-zero closed form, and the exact polynomial paths of
-`average_split`, `split_defect` and the Donaldson boundary pairing. The
-canonical potential (`RelativePotential.zero`) needs no sympy.
+A polynomial relative potential is held as exact {exponent tuple: Fraction}
+coefficients: a string or expression tree in integers, the coordinates,
++ - * /, and powers with non-negative integer exponents is parsed straight
+into them, its partials are differentiated exactly once and evaluated in one
+numpy pass, and `average_split`, `split_defect` and the Donaldson boundary
+pairing integrate the coefficients.  Importing this module loads numpy.
+sympy loads only for a closed form that is not such a polynomial (or is
+given as a sympy object or in other syntax), for `expression_from_json`, and
+when `RelativePotential.expr` is read, which builds the sympy expression of
+a polynomial from its source.
 """
 
 from __future__ import annotations
 
+import ast
 import itertools
 import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
@@ -53,6 +59,12 @@ def _coords(dim: int) -> list[sp.Symbol]:
     import sympy as sp
 
     return [sp.Symbol(f"x{i}", real=True) for i in range(dim)]
+
+
+def _sympify(expr, dim: int) -> sp.Expr:
+    import sympy as sp
+
+    return sp.sympify(expr, locals={s.name: s for s in _coords(dim)})
 
 
 def expression_from_json(node: dict, dim: int) -> sp.Expr:
@@ -83,6 +95,222 @@ def expression_from_json(node: dict, dim: int) -> sp.Expr:
     raise InvalidArgumentError(f"unknown expression node kind {kind!r}")
 
 
+# --------------------------------------------------------------------------
+# exact polynomials: {exponent tuple: Fraction} without zero coefficients
+
+
+# An expansion that may have more terms than this stays a sympy closed form:
+# expanding a power of a sum such as (x0 + x1 + 1)**80 exactly takes seconds.
+_MAX_TERMS = 1000
+
+
+class _NotPolynomial(Exception):
+    """Raised inside the polynomial parsers to hand the input to sympy."""
+
+
+def _constant(dim: int, c) -> dict:
+    return {(0,) * dim: Fraction(c)} if c else {}
+
+
+def _coordinate(dim: int, i: int) -> dict:
+    return {tuple(int(j == i) for j in range(dim)): Fraction(1)}
+
+
+def _poly_add(p: dict, q: dict, sign: int = 1) -> dict:
+    out = dict(p)
+    for alpha, c in q.items():
+        s = out.pop(alpha, 0) + sign * c
+        if s:
+            out[alpha] = s
+    return out
+
+
+def _poly_mul(p: dict, q: dict) -> dict:
+    out: dict = {}
+    for a, ca in p.items():
+        for b, cb in q.items():
+            key = tuple(x + y for x, y in zip(a, b))
+            out[key] = out.get(key, Fraction(0)) + ca * cb
+    return {alpha: c for alpha, c in out.items() if c}
+
+
+def _parsed_mul(p: dict, q: dict) -> dict:
+    if len(p) * len(q) > _MAX_TERMS:
+        raise _NotPolynomial
+    return _poly_mul(p, q)
+
+
+def _parsed_pow(p: dict, e: int, dim: int) -> dict:
+    if len(p) > 1 and math.comb(e + len(p) - 1, len(p) - 1) > _MAX_TERMS:
+        raise _NotPolynomial
+    out = _constant(dim, 1)
+    while e:
+        if e & 1:
+            out = _poly_mul(out, p)
+        e >>= 1
+        if e:
+            p = _poly_mul(p, p)
+    return out
+
+
+def _term_bound(expr) -> int:
+    """An upper bound on the number of terms of a sympy polynomial expanded."""
+    if expr.is_Add:
+        return sum(map(_term_bound, expr.args))
+    if expr.is_Mul:
+        return math.prod(map(_term_bound, expr.args))
+    if expr.is_Pow and expr.exp.is_Integer and expr.exp > 1:
+        t = _term_bound(expr.base)
+        return t if t == 1 or t > _MAX_TERMS else math.comb(int(expr.exp) + t - 1, t - 1)
+    return 1
+
+
+def _poly_diff(p: dict, i: int) -> dict:
+    return {alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]: c * alpha[i]
+            for alpha, c in p.items() if alpha[i]}
+
+
+def _constant_value(p: dict) -> Fraction:
+    """The value of a constant polynomial; `_NotPolynomial` for any other."""
+    if any(any(alpha) for alpha in p):
+        raise _NotPolynomial
+    return next(iter(p.values()), Fraction(0))
+
+
+def _parse_polynomial(text: str, dim: int) -> Optional[dict]:
+    """`text` as a polynomial in x0..x{dim-1}, or None if it is not one in
+    this grammar: integers, the coordinates, + - * /, unary + and -, and **
+    with a non-negative integer exponent, dividing by non-zero constants only.
+    sympy parses those to the same polynomial."""
+    try:
+        body = ast.parse(text, mode="eval").body
+    except (SyntaxError, ValueError):
+        return None
+    coords = {f"x{i}": i for i in range(dim)}
+
+    def walk(node) -> dict:
+        if isinstance(node, ast.Constant) and type(node.value) is int:
+            return _constant(dim, node.value)
+        if isinstance(node, ast.Name) and node.id in coords:
+            return _coordinate(dim, coords[node.id])
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+            return _poly_add({}, walk(node.operand), 1 if isinstance(node.op, ast.UAdd) else -1)
+        if isinstance(node, ast.BinOp):
+            op, left, right = node.op, walk(node.left), walk(node.right)
+            if isinstance(op, (ast.Add, ast.Sub)):
+                return _poly_add(left, right, 1 if isinstance(op, ast.Add) else -1)
+            if isinstance(op, ast.Mult):
+                return _parsed_mul(left, right)
+            c = _constant_value(right)
+            if isinstance(op, ast.Div) and c:
+                return _poly_mul(left, _constant(dim, 1 / c))
+            if isinstance(op, ast.Pow) and c.denominator == 1 and c >= 0:
+                return _parsed_pow(left, int(c), dim)
+        raise _NotPolynomial
+
+    try:
+        return walk(body)
+    except (_NotPolynomial, RecursionError):
+        return None
+
+
+def _polynomial_from_json(node: dict, dim: int) -> Optional[dict]:
+    """The tree as a polynomial when it is built from const, coord, add, mul
+    and pow with a non-negative integer exponent; None otherwise, and on a
+    malformed tree, which `expression_from_json` then reports."""
+
+    def walk(node) -> dict:
+        kind = node.get("kind")
+        if kind == "const":
+            return _constant(dim, Fraction(str(node["value"])))
+        if kind == "coord":
+            idx = int(node["index"])
+            if 0 <= idx < dim:
+                return _coordinate(dim, idx)
+        elif kind == "add":
+            return reduce(_poly_add, map(walk, node["args"]), {})
+        elif kind == "mul":
+            return reduce(_parsed_mul, map(walk, node["args"]), _constant(dim, 1))
+        elif kind == "pow":
+            e = node["exponent"]
+            if type(e) is int and e >= 0:
+                return _parsed_pow(walk(node["base"]), e, dim)
+        raise _NotPolynomial
+
+    try:
+        return walk(node)
+    except (_NotPolynomial, AttributeError, KeyError, TypeError, ValueError,
+            ZeroDivisionError, RecursionError):
+        return None
+
+
+def _check_closed_form(expr, dim: int) -> tuple[sp.Expr, Optional[dict]]:
+    """A sympy closed form in the coordinate symbols x_i, and its exact
+    coefficients when it is a polynomial whose coefficients are rational or
+    float (a float converts exactly) and whose expansion is bounded by
+    `_MAX_TERMS` terms; otherwise None.  A name other than x0..x{dim-1}, or a
+    non-finite constant, is an `InvalidArgumentError`."""
+    import sympy as sp
+
+    if not isinstance(expr, sp.Expr):
+        return expr, None
+    xs = {s.name: s for s in _coords(dim)}
+    unknown = sorted(str(s) for s in expr.free_symbols if str(s) not in xs)
+    if unknown:
+        raise InvalidArgumentError(
+            f"unknown name {', '.join(unknown)} in a relative potential; "
+            f"its coordinates are {', '.join(xs)}")
+    if expr.has(sp.zoo, sp.oo, -sp.oo, sp.nan):
+        raise InvalidArgumentError("relative potential has a non-finite constant")
+    expr = expr.xreplace({s: xs[str(s)] for s in expr.free_symbols})
+    if not expr.is_polynomial(*xs.values()) or _term_bound(expr) > _MAX_TERMS:
+        return expr, None
+    poly = sp.Poly(expr, *xs.values())
+    coeffs = {}
+    for mono, c in zip(poly.monoms(), poly.coeffs()):
+        if not (c.is_Rational or c.is_Float):
+            return expr, None
+        q = sp.Rational(c)
+        if q:
+            coeffs[tuple(int(e) for e in mono)] = Fraction(int(q.p), int(q.q))
+    return expr, coeffs
+
+
+def _monomial_table(polys: Sequence[dict], dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The monomials of `polys` as exponent rows (terms, dim), and the float
+    coefficients of each polynomial as a column of a (terms, len(polys)) array."""
+    rows: dict = {}
+    for p in polys:
+        for alpha in p:
+            rows.setdefault(alpha, len(rows))
+    exponents = np.array(list(rows), dtype=float).reshape(len(rows), dim)
+    coeffs = np.zeros((len(rows), len(polys)))
+    for j, p in enumerate(polys):
+        for alpha, c in p.items():
+            coeffs[rows[alpha], j] = float(c)
+    return exponents, coeffs
+
+
+def _evaluate(table: tuple[np.ndarray, np.ndarray], points: np.ndarray) -> np.ndarray:
+    """Every polynomial of a `_monomial_table` at every row of `points`, as
+    a (len(points), polys) array."""
+    exponents, coeffs = table
+    monomials = np.ones((len(points), len(exponents)))
+    for i, column in enumerate(exponents.T):
+        if column.any():
+            monomials *= points[:, i, None] ** column
+    return monomials @ coeffs
+
+
+@dataclass(frozen=True)
+class _Polynomial:
+    """Exact coefficients for `RelativePotential`, and how to build their
+    sympy expression if `expr` is read."""
+
+    coeffs: dict
+    make_expr: Callable[[], "sp.Expr"]
+
+
 # Orders of the partial derivatives that the curvature reads from a potential.
 _ORDERS = (2, 3, 4)
 
@@ -100,37 +328,57 @@ def _partial_indices(n: int, k: int) -> tuple[tuple[tuple[int, ...], ...], np.nd
     return distinct, full
 
 
+def _all_partials(f, dim: int, diff: Callable) -> list:
+    """Every distinct partial of f of the orders in `_ORDERS`, in
+    `_partial_indices` order, each taken from one of the order below."""
+    partials = {(): f}
+    for k in range(1, _ORDERS[-1] + 1):
+        for d in itertools.combinations_with_replacement(range(dim), k):
+            partials[d] = diff(partials[d[:-1]], d[-1])
+    return [partials[d] for k in _ORDERS for d in _partial_indices(dim, k)[0]]
+
+
 class RelativePotential:
     """Relative part f of a symplectic potential u = u0 + f.
 
-    Backed either by a closed-form expression (analytic derivatives) or by
-    grid samples interpolated with a degree >= 5 spline so that the fourth
-    derivatives the curvature reads exist. An exact rational zero (int,
-    Fraction or sympy 0) is kept as a number: it evaluates without sympy,
-    and `expr` builds sympy's 0 only when read. A closed form is parsed at
-    construction, so bad input fails there, but it is differentiated and
-    compiled only when first evaluated.
+    Backed by exact polynomial coefficients, by a closed-form sympy
+    expression that is not such a polynomial, or by grid samples
+    interpolated with a degree >= 5 spline so that the fourth derivatives the
+    curvature reads exist.  An expression is parsed at construction, so bad
+    input fails there: a name other than the coordinates x0..x{dim-1} or a
+    non-finite constant is an `InvalidArgumentError`.  A polynomial (from an
+    int or Fraction, a string or tree in the grammar of `_parse_polynomial`,
+    or a sympy polynomial with rational or float coefficients) of at most
+    `_MAX_TERMS` terms evaluates without sympy, and `expr` builds its sympy
+    expression only when read.  Any other closed form is differentiated and
+    compiled when first evaluated.
     """
 
     def __init__(self, dim: int, expr: Optional[sp.Expr] = None,
                  spline=None, spline_degree: Optional[int] = None):
         self.dim = dim
-        self._zero = isinstance(expr, numbers.Rational) and expr == 0
-        self._expr = None
         self._spline = spline
         self.spline_degree = spline_degree
-        if expr is not None and not self._zero:
-            import sympy as sp
-
-            self._expr = sp.sympify(expr, locals={s.name: s for s in _coords(dim)})
+        self._coeffs: Optional[dict] = None
+        self._expr = None
+        self._make_expr: Optional[Callable] = None
+        if expr is None:
+            return
+        if isinstance(expr, _Polynomial):
+            self._coeffs, self._make_expr = expr.coeffs, expr.make_expr
+        elif isinstance(expr, numbers.Rational):
+            self._coeffs = _constant(dim, Fraction(expr.numerator, expr.denominator))
+            self._make_expr = lambda: _sympify(expr, dim)
+        elif isinstance(expr, str) and (coeffs := _parse_polynomial(expr, dim)) is not None:
+            self._coeffs, self._make_expr = coeffs, lambda: _sympify(expr, dim)
+        else:
+            self._expr, self._coeffs = _check_closed_form(_sympify(expr, dim), dim)
 
     @property
     def expr(self) -> Optional[sp.Expr]:
         """The closed form as a sympy expression; None for a spline."""
-        if self._zero:
-            import sympy as sp
-
-            return sp.Integer(0)
+        if self._expr is None and self._make_expr is not None:
+            self._expr = self._make_expr()
         return self._expr
 
     @classmethod
@@ -140,7 +388,10 @@ class RelativePotential:
     @classmethod
     def from_expression(cls, dim: int, expr) -> "RelativePotential":
         if isinstance(expr, dict):
-            expr = expression_from_json(expr, dim)
+            coeffs = _polynomial_from_json(expr, dim)
+            if coeffs is None:
+                return cls(dim, expression_from_json(expr, dim))
+            return cls(dim, _Polynomial(coeffs, lambda: expression_from_json(expr, dim)))
         return cls(dim, expr)
 
     @classmethod
@@ -167,15 +418,27 @@ class RelativePotential:
 
     @property
     def is_polynomial(self) -> bool:
-        if self._zero:
-            return True
-        return self._expr is not None and self._expr.is_polynomial(*_coords(self.dim))
+        """Whether f is held as exact polynomial coefficients."""
+        return self._coeffs is not None
+
+    @property
+    def _zero(self) -> bool:
+        return self._coeffs == {}
 
     def value(self, x) -> float:
         return float(self._values(np.asarray([x], float))[0])
 
     def hessian(self, x) -> np.ndarray:
         return self._partials(np.asarray([x], float))[0][0]
+
+    @cached_property
+    def _value_table(self) -> tuple[np.ndarray, np.ndarray]:
+        return _monomial_table([self._coeffs], self.dim)
+
+    @cached_property
+    def _partial_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every partial that `_partials` reads, differentiated exactly."""
+        return _monomial_table(_all_partials(self._coeffs, self.dim, _poly_diff), self.dim)
 
     @cached_property
     def _value_fn(self) -> Callable:
@@ -185,22 +448,18 @@ class RelativePotential:
 
     @cached_property
     def _partials_fn(self) -> Callable:
-        """One compiled function of the coordinates that gives every distinct
-        partial of the orders in `_ORDERS`, in `_partial_indices` order."""
+        """One compiled function of the coordinates that gives every partial
+        that `_partials` reads, for a closed form that is not a polynomial."""
         import sympy as sp
 
         xs = _coords(self.dim)
-        partials = {(): self._expr}
-        for k in range(1, _ORDERS[-1] + 1):
-            for d in itertools.combinations_with_replacement(range(self.dim), k):
-                partials[d] = sp.diff(partials[d[:-1]], xs[d[-1]])
-        return sp.lambdify(xs, [partials[d] for k in _ORDERS
-                                for d in _partial_indices(self.dim, k)[0]], "numpy")
+        return sp.lambdify(xs, _all_partials(self._expr, self.dim,
+                                             lambda e, i: sp.diff(e, xs[i])), "numpy")
 
     def _values(self, points: np.ndarray) -> np.ndarray:
         """f at each row of `points`."""
-        if self._zero:
-            return np.zeros(len(points))
+        if self._coeffs is not None:
+            return _evaluate(self._value_table, points)[:, 0]
         if self._expr is not None:
             return np.broadcast_to(np.asarray(self._value_fn(*points.T), float),
                                    (len(points),))
@@ -210,15 +469,16 @@ class RelativePotential:
         """The partial derivative tensors of f of each order in `_ORDERS` at
         each row of `points`, of shape (len(points),) + (dim,) * order."""
         n, count = self.dim, len(points)
-        if self._zero:
-            return tuple(np.zeros((count,) + (n,) * k) for k in _ORDERS)
-        if self._expr is not None:
-            columns = self._partials_fn(*points.T)
+        if self._coeffs is not None:
+            flat = _evaluate(self._partial_table, points)
         else:
-            columns = [self._spline_eval(points, d)
-                       for k in _ORDERS for d in _partial_indices(n, k)[0]]
-        flat = np.stack([np.broadcast_to(np.asarray(c, float), (count,))
-                         for c in columns], axis=1)
+            if self._expr is not None:
+                columns = self._partials_fn(*points.T)
+            else:
+                columns = [self._spline_eval(points, d)
+                           for k in _ORDERS for d in _partial_indices(n, k)[0]]
+            flat = np.stack([np.broadcast_to(np.asarray(c, float), (count,))
+                             for c in columns], axis=1)
         tensors, start = [], 0
         for k in _ORDERS:
             distinct, full = _partial_indices(n, k)
@@ -514,15 +774,6 @@ def _solve_extremal_affine(poly: LabelledPolytope) -> ExtremalAffine:
     return ExtremalAffine(tuple(sol[1:]), sol[0])
 
 
-def _poly_mul(p: dict, q: dict) -> dict:
-    out: dict = {}
-    for a, ca in p.items():
-        for b, cb in q.items():
-            key = tuple(x + y for x, y in zip(a, b))
-            out[key] = out.get(key, Fraction(0)) + ca * cb
-    return out
-
-
 def extremality_residual(u: SymplecticPotential, grid: Grid) -> ExtremalReport:
     """Sup and rms norms of R_u - R_E over the grid, with diagnostics."""
     re = extremal_affine_function(u.polytope)
@@ -608,26 +859,13 @@ def donaldson_identity_check(u: SymplecticPotential, f: RelativePotential,
 
 def _boundary_pairing(poly: LabelledPolytope, f: RelativePotential) -> float:
     if f.is_polynomial:
-        coeffs = _poly_coeffs(f)
-        return float(moments.boundary_polynomial_moment(poly, coeffs))
+        return float(moments.boundary_polynomial_moment(poly, f._coeffs))
     total = 0.0
     for i in range(len(poly.facets)):
         for s, measure in moments._facet_simplices(poly, i):
             c = np.mean(np.asarray(s, float), axis=0)
             total += float(measure) * f.value(tuple(c))
     return total
-
-
-def _poly_coeffs(f: RelativePotential) -> dict:
-    import sympy as sp
-
-    xs = _coords(f.dim)
-    p = sp.Poly(sp.expand(f.expr), *xs)
-    out = {}
-    for mono, coeff in zip(p.monoms(), p.coeffs()):
-        q = sp.Rational(coeff)
-        out[tuple(int(e) for e in mono)] = Fraction(int(q.p), int(q.q))
-    return out
 
 
 # --------------------------------------------------------------------------
@@ -645,7 +883,7 @@ def average_split(f: RelativePotential, p1: LabelledPolytope,
     if f.dim != n1 + n2:
         raise NotAProductError("function dimension does not match the product")
     if f.is_polynomial:
-        coeffs = _poly_coeffs(f)
+        coeffs = f._coeffs
         vol1, *m1s = moments.polynomial_moments(
             p1, [{(0,) * n1: 1}] + [{alpha[:n1]: 1} for alpha in coeffs])
         vol2, *m2s = moments.polynomial_moments(
@@ -666,16 +904,23 @@ def average_split(f: RelativePotential, p1: LabelledPolytope,
 
 
 def _poly_potential(dim: int, coeffs: dict) -> RelativePotential:
-    import sympy as sp
+    """The polynomial with these coefficients; its sympy expression is built
+    from them only if `expr` is read."""
+    coeffs = {alpha: c for alpha, c in coeffs.items() if c}
 
-    xs = _coords(dim)
-    expr = sp.Integer(0)
-    for alpha, c in coeffs.items():
-        term = sp.Rational(c)
-        for i, e in enumerate(alpha):
-            term *= xs[i] ** e
-        expr += term
-    return RelativePotential(dim, sp.expand(expr))
+    def make_expr() -> sp.Expr:
+        import sympy as sp
+
+        xs = _coords(dim)
+        expr = sp.Integer(0)
+        for alpha, c in coeffs.items():
+            term = sp.Rational(c)
+            for i, e in enumerate(alpha):
+                term *= xs[i] ** e
+            expr += term
+        return sp.expand(expr)
+
+    return RelativePotential(dim, _Polynomial(coeffs, make_expr))
 
 
 def _average_numeric(f, p1, p2, first: bool, samples: int = 64) -> RelativePotential:
@@ -709,13 +954,8 @@ def split_defect(f: RelativePotential, f1: RelativePotential,
     if not (f.is_polynomial and f1.is_polynomial and f2.is_polynomial):
         raise InvalidArgumentError("split defect requires polynomial data")
     big = product(p1, p2)
-    g = dict(_poly_coeffs(f))
-    for alpha, c in _poly_coeffs(f1).items():
-        key = alpha + tuple([0] * n2)
-        g[key] = g.get(key, Fraction(0)) - c
-    for alpha, c in _poly_coeffs(f2).items():
-        key = tuple([0] * n1) + alpha
-        g[key] = g.get(key, Fraction(0)) - c
+    g = _poly_add(f._coeffs, {alpha + (0,) * n2: c for alpha, c in f1._coeffs.items()}, -1)
+    g = _poly_add(g, {(0,) * n1 + alpha: c for alpha, c in f2._coeffs.items()}, -1)
     basis = _affine_basis(n)
     m = len(basis)
     *flat, g2 = moments.polynomial_moments(

@@ -22,10 +22,10 @@ SEGMENT = {"dim": 1, "facets": [
 SQUARE_CONE = {"dim": 3, "labels": [[1, 0, 0], [-1, 0, 1], [0, 1, 0], [0, -1, 1]]}
 
 
-def loaded_after(code, stdin=""):
-    """The heavy modules a fresh interpreter has loaded after running `code`."""
+def loaded_after(code, stdin="", modules=HEAVY):
+    """Which of `modules` a fresh interpreter has loaded after running `code`."""
     probe = (f"{code}\nimport json, sys\n"
-             f"print(json.dumps([m for m in {HEAVY!r} if m in sys.modules]), file=sys.stderr)")
+             f"print(json.dumps([m for m in {modules!r} if m in sys.modules]), file=sys.stderr)")
     proc = subprocess.run([sys.executable, "-c", probe], input=stdin,
                           capture_output=True, text=True, env=ENV)
     assert proc.returncode == 0, proc.stderr
@@ -35,6 +35,8 @@ def loaded_after(code, stdin=""):
 def test_exact_package_names_load_no_float_layer():
     code = "import toriccontact\ntoriccontact.cone\ntoriccontact.reduce_cone"
     assert loaded_after(code) == set()
+    float_layer = ("toriccontact.potential", "toriccontact.moments")
+    assert loaded_after(code, modules=float_layer) == set()
 
 
 def test_exact_cli_commands_load_no_float_layer():
@@ -57,7 +59,17 @@ def test_canonical_curvature_loads_numpy_only():
 def test_polynomial_relative_extremal_loads_no_scipy():
     code = "from toriccontact import cli\ncli.main(['potential', 'extremal', '--grid', '8'])"
     payload = {"polytope": SEGMENT, "relative": "x0**4/20 + x0**2"}
-    assert loaded_after(code, json.dumps(payload)) == {"numpy", "sympy"}
+    assert loaded_after(code, json.dumps(payload)) == {"numpy"}
+
+
+def test_polynomial_tree_curvature_loads_numpy_only():
+    code = "from toriccontact import cli\ncli.main(['potential', 'curvature', '--grid', '8'])"
+    square = {"kind": "pow", "base": {"kind": "coord", "index": 0}, "exponent": 2}
+    relative = {"kind": "add", "args": [
+        {"kind": "mul", "args": [{"kind": "const", "value": "1/2"}, square]},
+        {"kind": "const", "value": 3}]}
+    payload = {"polytope": SEGMENT, "relative": relative}
+    assert loaded_after(code, json.dumps(payload)) == {"numpy"}
 
 
 def test_unknown_name_raises_attribute_error():

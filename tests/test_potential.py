@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -274,6 +275,93 @@ def exact_curvature(poly, rel, point):
     return -total
 
 
+def fraction_inverse(m):
+    """The inverse of a square matrix of Fractions, by Gauss-Jordan elimination."""
+    n = len(m)
+    rows = [list(r) + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(m)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if rows[r][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [v / rows[col][col] for v in rows[col]]
+        for r in range(n):
+            if r != col and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
+    return [r[n:] for r in rows]
+
+
+def jet_curvature(poly, rel, point):
+    """R = -sum_ab d_a d_b (Hess u)^-1_ab at a rational point p, for
+    u = 1/2 sum l log l + rel with `rel` given as {exponents: Fraction}, in
+    exact degree-2 Taylor jets in t = x - p.
+
+    A jet is {monomial in t of degree <= 2: n x n matrix}.  Hess u has the
+    jet of 1/2 sum n n^T / l(p + t), with 1/l = 1/l0 - <n,t>/l0^2 +
+    <n,t>^2/l0^3, plus the Taylor polynomial of the Hessian of `rel`.  With
+    H = H0 + D, G0 = H0^-1 by exact elimination and M = G0 D, the inverse is
+    G0 - M G0 + M M G0 to degree 2.
+    """
+    n = len(point)
+    p = [Fraction(c) for c in point]
+
+    def mono(*idx):
+        return tuple(sum(1 for i in idx if i == k) for k in range(n))
+
+    def add(jet, key, a, b, value):
+        jet.setdefault(key, [[Fraction(0)] * n for _ in range(n)])[a][b] += value
+
+    def diff(q, i):
+        return {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] for e, c in q.items() if e[i]}
+
+    def at_p(q):
+        return sum((c * math.prod(pi ** ei for pi, ei in zip(p, e)) for e, c in q.items()),
+                   Fraction(0))
+
+    hess = {}
+    for f in poly.facets:
+        nu = [Fraction(c) for c in f.normal]
+        l0 = sum(c * x for c, x in zip(nu, p)) + Fraction(f.constant)
+        for a in range(n):
+            for b in range(n):
+                w = nu[a] * nu[b] / 2
+                add(hess, mono(), a, b, w / l0)
+                for c in range(n):
+                    add(hess, mono(c), a, b, -w * nu[c] / l0 ** 2)
+                    for d in range(n):
+                        add(hess, mono(c, d), a, b, w * nu[c] * nu[d] / l0 ** 3)
+    for a in range(n):
+        for b in range(n):
+            h = diff(diff(rel, a), b)
+            add(hess, mono(), a, b, at_p(h))
+            for c in range(n):
+                add(hess, mono(c), a, b, at_p(diff(h, c)))
+                for d in range(n):
+                    add(hess, mono(c, d), a, b, at_p(diff(diff(h, c), d)) / 2)
+
+    def mul(x, y):
+        out = {}
+        for kx, mx in x.items():
+            for ky, my in y.items():
+                key = tuple(i + j for i, j in zip(kx, ky))
+                if sum(key) <= 2:
+                    for a in range(n):
+                        for b in range(n):
+                            add(out, key, a, b, sum(mx[a][k] * my[k][b] for k in range(n)))
+        return out
+
+    g0 = {mono(): fraction_inverse(hess[mono()])}
+    m = mul(g0, {k: v for k, v in hess.items() if sum(k)})
+    inverse = {}
+    for sign, jet in ((-1, mul(m, g0)), (1, mul(mul(m, m), g0))):
+        for key, mat in jet.items():
+            for a in range(n):
+                for b in range(n):
+                    add(inverse, key, a, b, sign * mat[a][b])
+    # d_a d_b t_a t_b is 1 for a != b and 2 for a == b
+    return -sum((1 + (a == b)) * inverse[mono(a, b)][a][b]
+                for a in range(n) for b in range(n))
+
+
 def rational_interior_point(poly, rng):
     weights = [rng.randint(1, 3) for _ in poly.vertices]
     return tuple(sum(w * v[i] for w, v in zip(weights, poly.vertices)) / sum(weights)
@@ -305,16 +393,25 @@ def trapezoid():
     ])
 
 
+def coefficients(expr, n):
+    """A sympy polynomial in x0..x{n-1} as {exponents: Fraction}."""
+    return {e: Fraction(int(c.p), int(c.q))
+            for e, c in sp.Poly(expr, *pot._coords(n)).terms() if c}
+
+
 def test_closed_form_matches_exact_curvature():
     rng = random.Random(31)
     polys = [tc.segment((1, 2)), tc.segment((2, 3)), trapezoid(), tc.unit_box(3)]
     polys += [random_rational_polytope(rng) for _ in range(8)]
     worst = 0.0
-    for poly in polys:
+    for k, poly in enumerate(polys):
         for with_relative in (False, True):
             point = rational_interior_point(poly, rng)
             rel = convex_polynomial(poly, point, rng) if with_relative else sp.Integer(0)
-            exact = float(exact_curvature(poly, rel, point))
+            exact = jet_curvature(poly, coefficients(rel, poly.dim), point)
+            if k < 3:  # the segments and the trapezoid: the two oracles agree exactly
+                assert exact_curvature(poly, rel, point) == sp.Rational(exact)
+            exact = float(exact)
             u = tc.SymplecticPotential(poly, tc.RelativePotential(poly.dim, rel))
             got = tc.abreu_scalar_curvature(u, tuple(float(c) for c in point))
             worst = max(worst, abs(got - exact) / max(abs(exact), 1.0))
@@ -553,10 +650,19 @@ def test_relative_potential_compiles_on_first_evaluation(monkeypatch):
         real = getattr(sp, name)
         monkeypatch.setattr(sp, name, lambda *a, _real=real, _name=name, **k:
                             calls.append(_name) or _real(*a, **k))
-    rel = tc.RelativePotential(2, X0 ** 4 + X0 * X1)
+    # a polynomial, as a string or a sympy object, is differentiated exactly
+    for expr in ("x0**4 + x0*x1", X0 ** 4 + X0 * X1):
+        rel = tc.RelativePotential(2, expr)
+        u = tc.SymplecticPotential(tc.unit_box(2), rel)
+        tc.abreu_scalar_curvature(u, (0.3, 0.4))
+        rel.hessian((0.3, 0.4))
+        rel.value((0.3, 0.4))
     assert calls == []
     with pytest.raises(sp.SympifyError):
         tc.RelativePotential(1, "x0 +")
+    # any other closed form is compiled once, on first evaluation
+    rel = tc.RelativePotential(2, sp.exp(X0) + X0 * X1)
+    assert calls == []
     u = tc.SymplecticPotential(tc.unit_box(2), rel)
     tc.abreu_scalar_curvature(u, (0.3, 0.4))
     assert calls.count("lambdify") == 1
@@ -565,6 +671,94 @@ def test_relative_potential_compiles_on_first_evaluation(monkeypatch):
     assert calls.count("lambdify") == 1
     rel.value((0.3, 0.4))
     assert calls.count("lambdify") == 2
+
+
+def sympify(text, n):
+    return sp.sympify(text, locals={s.name: s for s in pot._coords(n)})
+
+
+def random_polynomial_text(rng, n, depth=3):
+    """A random expression in the parser's grammar."""
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice([str(rng.randint(0, 9)), f"x{rng.randrange(n)}"])
+    a, b = (random_polynomial_text(rng, n, depth - 1) for _ in range(2))
+    return rng.choice([
+        f"{a} + {b}", f"{a} - {b}", f"({a})*({b})", f"-({a})", f"+{a}",
+        f"({a})/{rng.randint(1, 7)}", f"({a})/({rng.randint(1, 5)}*{rng.randint(1, 5)} - 30)",
+        f"({a})**{rng.randint(0, 3)}", f"(({a})**2)**2", f"{a}*x0**2**1",
+    ])
+
+
+def test_polynomial_parser_matches_sympy():
+    rng = random.Random(17)
+    texts = [(2, t) for t in (  # the shapes the benchmark and the acceptance suite draw
+        "1/3*x0**2 + 0/4*x0**4 + 4/5*x1**2 + 2/2*x1**4",
+        "(-3/2)*x0**2 + (1/3)*x0**3 + (2/1)*x1**2 + (0/3)*x1**3 + (-2)*x0 + (3) + x0*x1",
+        "(4/3)*x0**2 + (-4/1)*x0**3 + (1)*x0 + (-3)*x1 + (0)",
+        "x0**4/20 + x0**2", "x0*x1", "1", "0", "x0 - x0", "-x0**2", "2**3*x0", "x0**0",
+    )]
+    texts += [(n, random_polynomial_text(rng, n)) for n in (1, 2, 3) for _ in range(40)]
+    for n, text in texts:
+        assert pot._parse_polynomial(text, n) == coefficients(sympify(text, n), n), text
+        assert tc.RelativePotential(n, text).is_polynomial
+    # other syntax goes to sympy, and gives its value, polynomial or not
+    for text in ("log(x0)", "x0**-1", "x0**(1/2)", "0.5*x0", "x0^2", "2**-1*x0"):
+        assert pot._parse_polynomial(text, 1) is None
+        rel = tc.RelativePotential(1, text)
+        want = sp.lambdify([X0], sympify(text, 1), "numpy")(0.3)
+        assert abs(rel.value((0.3,)) - want) <= 1e-15 * abs(want)
+        assert rel.is_polynomial == (text in ("0.5*x0", "x0^2", "2**-1*x0"))
+    with pytest.raises(sp.SympifyError):
+        tc.RelativePotential(1, "x0 +")
+    # an expansion of more than 1000 terms stays a closed form, as text or in sympy
+    assert tc.RelativePotential(2, "(x0 + x1 + 1)**40").is_polynomial  # 861 terms
+    for expr in ("(x0 + x1 + 1)**80", (X0 + X1 + 1) ** 80):
+        rel = tc.RelativePotential(2, expr)
+        assert not rel.is_polynomial
+        assert abs(rel.value((0.3, 0.4)) / 1.7 ** 80 - 1) < 1e-13
+    # one term with a huge exponent stays exact; its float partials underflow
+    assert tc.RelativePotential(1, "x0**(10**30)").hessian((0.5,))[0, 0] == 0.0
+
+
+def test_unknown_names_and_non_finite_constants_are_rejected():
+    for text in ("x1**2", "y", "zoo*x0", "x0**2/0", "0/0 + x0", "oo", "x0 + X"):
+        with pytest.raises(InvalidArgumentError):
+            tc.RelativePotential(1, text)
+    with pytest.raises(InvalidArgumentError):
+        tc.RelativePotential(1, X1 ** 2)
+    # coordinates are matched by name, whatever their assumptions
+    rel = tc.RelativePotential(2, sp.Symbol("x1") ** 2)
+    assert rel.is_polynomial and rel.hessian((0.5, 0.5))[1, 1] == 2.0
+
+
+def test_polynomial_partials_match_sympy():
+    rng = random.Random(23)
+    for n in (1, 2, 3):
+        xs = pot._coords(n)
+        distinct = list(itertools.chain.from_iterable(
+            itertools.combinations_with_replacement(range(n), k) for k in pot._ORDERS))
+        for _ in range(3):
+            text = " + ".join(random_polynomial_text(rng, n, 2) for _ in range(3)) + " + x0**5"
+            expr = sympify(text, n)
+            columns = [sp.diff(expr, *(xs[i] for i in d)) for d in distinct]
+            points = np.array([[rng.uniform(-2, 2) for _ in range(n)] for _ in range(6)])
+            want = {d: np.broadcast_to(np.asarray(v, float), (6,)) for d, v in
+                    zip(distinct, sp.lambdify(xs, columns, "numpy")(*points.T))}
+            # bound: relative to the sum of the magnitudes of the terms
+            scale = {d: sum(abs(float(c)) * np.prod(np.abs(points) ** e, axis=1)
+                            for e, c in sp.Poly(column, *xs).terms())
+                     for d, column in zip(distinct, columns)}
+            rel = tc.RelativePotential(n, text)
+            assert rel.is_polynomial
+            for k, tensor in zip(pot._ORDERS, rel._partials(points)):
+                for idx in itertools.product(range(n), repeat=k):
+                    d = tuple(sorted(idx))
+                    got = tensor[(slice(None),) + idx]
+                    assert (np.abs(got - want[d]) <= 1e-12 * scale[d]).all(), (text, idx)
+            value = sp.lambdify(xs, expr, "numpy")(*points.T)
+            magnitude = sum(abs(float(c)) * np.prod(np.abs(points) ** e, axis=1)
+                            for e, c in sp.Poly(expr, *xs).terms())
+            assert (np.abs(rel._values(points) - value) <= 1e-12 * magnitude).all()
 
 
 def test_extremal_affine_golden():

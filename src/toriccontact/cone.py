@@ -282,8 +282,7 @@ def characteristic_polytope(cone: Cone, b: Union[ReebVector, RatVec]) -> Charact
 
     # Before any label is built: a label parallel to b would have a zero
     # normal, and is reported as the redundant facet it is.
-    _reject_redundant(dict(zip(cone.extreme_rays, cone.ray_active_sets)),
-                      len(cone.labels), intlinalg.rational_rank, k - 1)
+    _reject_redundant(cone.extreme_rays, cone.ray_active_sets, len(cone.labels), k - 1)
     facets = []
     for l in cone.labels:
         normal = tuple(Fraction(_dot(v, l)) for v in directions)

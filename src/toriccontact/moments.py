@@ -1,10 +1,13 @@
 """Exact rational moments of labelled polytopes.
 
-Interior moments use a boundary-fan triangulation from a base vertex; it
-reads the facets through each vertex from the incidences that the vertex
-enumeration recorded, without evaluating a label.  Facet moments use the
-boundary measure dsigma = (Euclidean surface measure)/||n_i|| determined by
-the wedge relation n_i ^ dsigma = -dmu, which stays rational because only
+Interior moments use a boundary-fan triangulation from a base vertex, and
+facet moments the same fan within each facet.  Both run on vertex indices
+over the polytope's one cone enumeration, `LabelledPolytope._cone`: the
+facets through each vertex are its recorded incidences, and a face is kept
+when its integer rays have rank one more than its dimension, so no label is
+evaluated and no rational point is hashed.  Facet moments use the boundary
+measure dsigma = (Euclidean surface measure)/||n_i|| determined by the
+wedge relation n_i ^ dsigma = -dmu, which stays rational because only
 ||n_i||^2 enters the simplex formula.  On each simplex, interior or facet,
 one integer recursion for the complete homogeneous polynomials in the
 vertices gives every requested monomial at once (Baldoni, Berline,
@@ -26,7 +29,7 @@ from typing import Iterable, Mapping, Sequence
 
 from . import intlinalg
 from .errors import InvalidArgumentError, InvalidPolytopeError
-from .polytope import LabelledPolytope, _affine_rank
+from .polytope import LabelledPolytope
 
 Point = tuple[Fraction, ...]
 Monomial = tuple[int, ...]
@@ -35,23 +38,29 @@ Polynomial = Mapping[Monomial, Fraction]
 
 def triangulate(poly: LabelledPolytope) -> list[tuple[Point, ...]]:
     """Full-dimensional simplices (n+1 vertices each) covering the polytope."""
-    return _triangulate_face(poly._tight_facets, poly.vertices, poly.dim)
+    verts = poly.vertices
+    return [tuple(verts[j] for j in s)
+            for s in _triangulate_face(poly._cone, range(len(verts)), poly.dim)]
 
 
-def _triangulate_face(tight, vset: Sequence[Point], rank: int) -> list[tuple[Point, ...]]:
-    """Fan from the least of the sorted face vertices ``vset`` over the face's
-    facets that miss it; ``tight`` maps a vertex to the facets through it."""
+def _triangulate_face(cone, face: Sequence[int], rank: int) -> list[tuple[int, ...]]:
+    """Fan, as tuples of vertex indices, from the least index in ``face``
+    over the face's facets that miss it.  ``cone`` is the polytope's `_cone`:
+    vertex j has the ray ``rays[j]`` and lies on the facets ``incidence[j]``,
+    and vertices span an affine space of dimension r iff their rays have
+    rank r + 1."""
+    rays, incidence = cone
     if rank == 0:
-        return [(vset[0],)]
-    v0 = vset[0]
+        return [(face[0],)]
+    v0 = face[0]
     simplices = []
     seen = set()
-    for i in sorted(frozenset().union(*(tight[v] for v in vset)) - tight[v0]):
-        sub = tuple(v for v in vset if i in tight[v])
-        if sub in seen or _affine_rank(sub) != rank - 1:
+    for i in sorted(frozenset().union(*(incidence[j] for j in face)) - incidence[v0]):
+        sub = tuple(j for j in face if i in incidence[j])
+        if sub in seen or intlinalg.rational_rank([rays[j] for j in sub]) != rank:
             continue
         seen.add(sub)
-        for s in _triangulate_face(tight, sub, rank - 1):
+        for s in _triangulate_face(cone, sub, rank - 1):
             simplices.append((v0,) + s)
     return simplices
 
@@ -84,14 +93,15 @@ def _facet_simplices(poly: LabelledPolytope,
                      facet_index: int) -> list[tuple[tuple[Point, ...], Fraction]]:
     """Simplices of one facet, each with its label-scaled sigma-measure."""
     f = poly.facets[facet_index]
-    tight = poly._tight_facets
-    fverts = [v for v in poly.vertices if facet_index in tight[v]]
-    if not fverts:
+    verts, incidence = poly.vertices, poly._cone[1]
+    face = [j for j in range(len(verts)) if facet_index in incidence[j]]
+    if not face:
         raise InvalidPolytopeError("facet carries no vertices")
     n = poly.dim
     norm2 = sum(c * c for c in f.normal)
     pieces = []
-    for simplex in _triangulate_face(tight, fverts, n - 1):
+    for s in _triangulate_face(poly._cone, face, n - 1):
+        simplex = tuple(verts[j] for j in s)
         base = simplex[0]
         rows = [
             [simplex[j + 1][i] - base[i] for i in range(n)]

@@ -7,9 +7,11 @@ facets are rejected rather than pruned).  All data is rational and every
 decision here is exact.
 
 One routine, `_extreme_rays`, enumerates the rays of a cone together with
-the labels vanishing on each.  Cones use it directly; a polytope's vertices
-are the rays of the cone over it, and their vanishing labels are the
-vertex-facet incidences that validation and triangulation read.
+the labels vanishing on each.  Cones use it directly.  A polytope calls it
+once, on the cone ``{(x, t) : t >= 0, l_i(x, t) >= 0}`` over P, and keeps
+the primitive integer rays (q x, q) with the facets through each as
+`LabelledPolytope._cone`.  Validation, the vertices (the rays with t > 0 at
+t = 1) and the triangulations in `moments` all read that one enumeration.
 """
 
 from __future__ import annotations
@@ -31,7 +33,10 @@ def frac(x: Rat) -> Fraction:
     """Coerce ints, Fractions and 'p/q' strings to Fraction."""
     if isinstance(x, Fraction):
         return x
-    return Fraction(x)
+    try:
+        return Fraction(x)
+    except ZeroDivisionError:
+        raise InvalidArgumentError(f"zero denominator in {x!r}") from None
 
 
 def frac_str(x: Fraction) -> str:
@@ -86,8 +91,8 @@ class LabelledPolytope:
     in full. `product` and `rescale` derive new polytopes from validated
     ones, which keeps those properties, and `cone.characteristic_polytope`
     decides them from the cone's extreme rays; all three build through
-    `_trusted` without checking again. `vertices` is computed on first use
-    either way.
+    `_trusted` without checking again. Validation reads `_cone`; a trusted
+    polytope enumerates it on first use, and `vertices` is a view of it.
     """
 
     def __init__(self, dim: int, facets: Iterable[AffineFunction]):
@@ -113,41 +118,41 @@ class LabelledPolytope:
     # -- construction-time validation -------------------------------------
 
     def _validate(self):
-        normals = [intlinalg.primitive_part(f.normal) for f in self.facets]
-        if intlinalg.rational_rank(normals) < self.dim:
+        if intlinalg.rational_rank([f.normal for f in self.facets]) < self.dim:
             raise InvalidPolytopeError("normals do not span; region is unbounded")
-        if _extreme_rays(normals, self.dim):
-            # The recession cone {x : <n_i, x> >= 0} is pointed (rank-n
-            # normals), so it is nonzero exactly when it has an extreme ray.
-            raise InvalidPolytopeError("region is unbounded")
-        verts = self.vertices
-        if not verts:
+        rays, incidence = self._cone
+        if not rays:
             raise InvalidPolytopeError("region is empty")
-        if _affine_rank(verts) < self.dim:
+        # Rank-n normals and the row t >= 0 make the cone pointed.  Its face
+        # {t = 0} is the recession cone of P, nonzero iff it holds a ray, and
+        # such rays sort last.
+        if rays[-1][-1] == 0:
+            raise InvalidPolytopeError("region is unbounded")
+        if intlinalg.rational_rank(rays) <= self.dim:
             raise InvalidPolytopeError("region has empty interior")
-        _reject_redundant(self._tight_facets, len(self.facets), _affine_rank, self.dim - 1)
+        _reject_redundant(rays, incidence, len(self.facets), self.dim)
 
     # -- derived data ------------------------------------------------------
 
     @cached_property
-    def vertices(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Exact vertex set, sorted for determinism: the rays with t > 0 of
-        the cone ``{(x, t) : <n_i, x> + c_i t >= 0}`` over P, rescaled to
-        t = 1. Each ray's vanishing labels are recorded as `_tight_facets`."""
+    def _cone(self) -> tuple[tuple[intlinalg.IntVector, ...], tuple[frozenset[int], ...]]:
+        """The extreme rays of ``{(x, t) : t >= 0, <n_i, x> + c_i t >= 0}``
+        as primitive integer vectors (q x, q), and the indices of the facets
+        through each: the rays with t > 0 sorted by their vertex x, then
+        those with t = 0."""
         rows = [intlinalg.primitive_part(f.as_vector()) for f in self.facets]
-        tight = {
-            tuple(Fraction(c, ray[-1]) for c in ray[:-1]): active
-            for ray, active in _extreme_rays(rows, self.dim + 1).items()
-            if ray[-1] > 0
-        }
-        self._tight_facets = dict(sorted(tight.items()))
-        return tuple(self._tight_facets)
+        rows.append((0,) * self.dim + (1,))
+        rays = _extreme_rays(rows, self.dim + 1)
+        order = sorted(rays, key=lambda r: (0, tuple(Fraction(c, r[-1]) for c in r[:-1]))
+                       if r[-1] else (1, r))
+        return tuple(order), tuple(rays[r] for r in order)
 
     @cached_property
-    def _tight_facets(self) -> dict[tuple[Fraction, ...], frozenset[int]]:
-        """Vertex -> indices of the facets through it; set by `vertices`."""
-        self.vertices
-        return self.__dict__["_tight_facets"]
+    def vertices(self) -> tuple[tuple[Fraction, ...], ...]:
+        """Exact vertex set, sorted for determinism: the rays with t > 0 of
+        `_cone` rescaled to t = 1, with the same indices."""
+        return tuple(tuple(Fraction(c, r[-1]) for c in r[:-1])
+                     for r in self._cone[0] if r[-1])
 
     @cached_property
     def _float_labels(self) -> tuple[tuple[tuple[float, ...], ...], tuple[float, ...]]:
@@ -275,31 +280,21 @@ class CharacteristicResult:
         return self.ok
 
 
-def _reject_redundant(incidence, count: int, rank, full_rank: int) -> None:
+def _reject_redundant(rays, incidence, count: int, full_rank: int) -> None:
     """Raise for the first of ``count`` facets that is redundant.
 
-    ``incidence`` maps each point of a fixed generating set (vertices, or
-    the rays of a cone over the polytope), in one canonical order, to the
-    indices of the facets through it.  A facet is redundant when its points
-    have ``rank`` other than ``full_rank``, or when an earlier facet has the
-    same points: two labels on one facet, of which the later is rejected.
+    ``rays`` are the integer rays of a cone over the polytope, in one
+    canonical order, and ``incidence`` holds the indices of the facets
+    through each.  A facet is redundant when its rays have rank other than
+    ``full_rank``, or when an earlier facet has the same rays: two labels on
+    one facet, of which the later is rejected.
     """
     seen = set()
     for i in range(count):
-        on = tuple(p for p, active in incidence.items() if i in active)
-        if on in seen or rank(on) != full_rank:
+        on = tuple(j for j, active in enumerate(incidence) if i in active)
+        if on in seen or intlinalg.rational_rank([rays[j] for j in on]) != full_rank:
             raise InvalidPolytopeError(f"facet {i} is redundant")
         seen.add(on)
-
-
-def _affine_rank(points) -> int:
-    if not points:
-        return -1
-    base = points[0]
-    diffs = [[c - b for c, b in zip(p, base)] for p in points[1:]]
-    if not diffs:
-        return 0
-    return intlinalg.rational_rank(diffs)
 
 
 def _extreme_rays(labels, dim: int) -> dict[intlinalg.IntVector, frozenset[int]]:

@@ -74,7 +74,7 @@ def expression_from_json(node: dict, dim: int) -> sp.Expr:
     kind = node.get("kind")
     xs = _coords(dim)
     if kind == "const":
-        return sp.Rational(Fraction(str(node["value"])))
+        return sp.Rational(frac(str(node["value"])))
     if kind == "coord":
         idx = int(node["index"])
         if not 0 <= idx < dim:
@@ -222,7 +222,7 @@ def _polynomial_from_json(node: dict, dim: int) -> Optional[dict]:
     def walk(node) -> dict:
         kind = node.get("kind")
         if kind == "const":
-            return _constant(dim, Fraction(str(node["value"])))
+            return _constant(dim, frac(str(node["value"])))
         if kind == "coord":
             idx = int(node["index"])
             if 0 <= idx < dim:
@@ -240,7 +240,7 @@ def _polynomial_from_json(node: dict, dim: int) -> Optional[dict]:
     try:
         return walk(node)
     except (_NotPolynomial, AttributeError, KeyError, TypeError, ValueError,
-            ZeroDivisionError, RecursionError):
+            RecursionError):
         return None
 
 
@@ -509,25 +509,9 @@ class SymplecticPotential:
     def canonical(cls, polytope: LabelledPolytope) -> "SymplecticPotential":
         return cls(polytope, RelativePotential.zero(polytope.dim))
 
-    def value(self, x) -> float:
-        v, _, _ = guillemin_eval(self.polytope, x)
-        return v + self.relative.value(x)
-
     def hessian(self, x) -> np.ndarray:
         _, _, h = _guillemin_hessian(self.polytope, x)
         return h + self.relative.hessian(x)
-
-    def convexity_margin(self, points) -> float:
-        """Smallest Cholesky pivot of the Hessian over the sample points."""
-        worst = math.inf
-        for x in points:
-            h = self.hessian(x)
-            try:
-                c = np.linalg.cholesky(h)
-            except np.linalg.LinAlgError:
-                return -math.inf
-            worst = min(worst, float(np.min(np.diag(c)) ** 2))
-        return worst
 
 
 @dataclass(frozen=True)

@@ -128,6 +128,19 @@ def test_input_error_exit_2():
     assert "error" in body and "detail" in body
 
 
+def test_zero_denominator_exit_2():
+    half_open = {"dim": 1, "facets": [SEGMENT["facets"][0],
+                                      {"normal": ["-1"], "constant": "1/0"}]}
+    for args, payload in (
+        (["polytope", "rational"], half_open),
+        (["cone", "slice", "--reeb", "1/0,1"], {"dim": 2, "labels": [[1, 0], [0, 1]]}),
+        (["potential", "extremal"],
+         {"polytope": SEGMENT, "relative": {"kind": "const", "value": "1/0"}}),
+    ):
+        code, body = run_cli(args, payload)
+        assert code == 2 and body["error"] == "invalid-argument"
+
+
 def test_flag_validation_exit_2():
     code, body = run_cli(
         ["potential", "extremal", "--grid", "4"], {"polytope": SEGMENT}

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import toriccontact as tc
+from toriccontact import moments
+from toriccontact import polytope as polytope_mod
 from toriccontact.errors import InvalidPolytopeError
 from toriccontact.intlinalg import rational_rank, solve_exact
 from toriccontact.polytope import AffineFunction, LabelledPolytope
@@ -206,9 +208,9 @@ def test_join_polytope_does_not_revalidate(monkeypatch):
 
 
 def brute_force_vertices(dim, facets):
-    """Reference for `vertices` and `_tight_facets`: solve every nonsingular
-    system of ``dim`` labels set to zero, keep the solutions that satisfy
-    every label, and evaluate the labels there for the tight ones."""
+    """Reference for `vertices` and their incidences in `_cone`: solve every
+    nonsingular system of ``dim`` labels set to zero, keep the solutions that
+    satisfy every label, and evaluate the labels there for the tight ones."""
     found = {}
     for subset in itertools.combinations(facets, dim):
         rows = [f.normal for f in subset]
@@ -224,22 +226,22 @@ def assert_enumeration_matches(dim, facets):
     poly = LabelledPolytope._trusted(dim, facets)
     expected = brute_force_vertices(dim, facets)
     assert poly.vertices == tuple(v for v, _ in expected)
-    assert list(poly._tight_facets.items()) == expected
+    assert list(zip(poly.vertices, poly._cone[1])) == expected
 
 
-def transformed(poly, rng):
-    """The image of ``poly`` under a random GL(n, Z) map and rational
-    translation, with every label rescaled by a positive rational."""
-    n = poly.dim
+def transformed(n, labels, rng):
+    """The labels of the image of the region they cut out in Q^n under a
+    random GL(n, Z) map and rational translation, each label rescaled by a
+    positive rational."""
     u = rand_unimodular(n, rng) if n > 1 else [[rng.choice((1, -1))]]
     shift = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
     facets = []
-    for f in poly.facets:
+    for f in labels:
         # l(U y + shift) = <U^T n, y> + l(shift)
         r = Fraction(rng.randint(1, 5), rng.randint(1, 5))
         normal = tuple(r * sum(u[i][j] * f.normal[i] for i in range(n)) for j in range(n))
         facets.append(AffineFunction(normal, r * f(shift)))
-    return LabelledPolytope(n, facets)
+    return facets
 
 
 def box_or_simplex(kind, n):
@@ -253,8 +255,9 @@ def test_vertices_match_brute_force(seed, kind, second, n, m):
     poly = box_or_simplex(kind, n)
     if second is not None and n + m <= 4:
         poly = tc.product(poly, box_or_simplex(second, m))
-    poly = transformed(poly, random.Random(seed))
-    assert_enumeration_matches(poly.dim, poly.facets)
+    facets = transformed(poly.dim, poly.facets, random.Random(seed))
+    LabelledPolytope(poly.dim, facets)
+    assert_enumeration_matches(poly.dim, facets)
 
 
 def labels(*rows):
@@ -264,10 +267,29 @@ def labels(*rows):
 SQUARE = ((1, 0, 0), (0, 1, 0), (-1, 0, 1), (0, -1, 1))
 
 
+def test_each_polytope_enumerates_its_cone_once(monkeypatch):
+    calls = []
+    extreme_rays = polytope_mod._extreme_rays
+    monkeypatch.setattr(polytope_mod, "_extreme_rays",
+                        lambda *args: calls.append(args) or extreme_rays(*args))
+    p1, p2 = tc.segment(), tc.standard_simplex(2)
+    for build in (lambda: LabelledPolytope(2, labels(*SQUARE)), lambda: tc.product(p1, p2)):
+        calls.clear()
+        poly = build()
+        poly.vertices
+        moments.triangulate(poly)
+        one = [{(0,) * poly.dim: 1}]
+        moments.polynomial_moments(poly, one)
+        moments.boundary_polynomial_moments(poly, one)
+        assert len(calls) == 1
+
+
 @pytest.mark.parametrize("dim, rows, message", [
     (2, ((1, 0, 0), (-1, 0, 1), (2, 0, 1)), "normals do not span; region is unbounded"),
     (2, ((Fraction(1, 2), 0, 0), (Fraction(-1, 3), 0, 1), (0, Fraction(3, 4), 0)),
      "region is unbounded"),
+    (2, ((1, 0, -1), (-1, 0, 0), (0, 1, 0)), "region is unbounded"),
+    (1, ((1, -1), (1, 0)), "region is unbounded"),
     (2, ((1, 0, 0), (0, 1, 0), (-1, -1, -1)), "region is empty"),
     (1, ((1, -2), (-1, 1)), "region is empty"),
     (2, ((1, 0, 0), (0, 1, 0), (-1, -1, 0)), "region has empty interior"),
@@ -278,10 +300,12 @@ SQUARE = ((1, 0, 0), (0, 1, 0), (-1, 0, 1), (0, -1, 1))
     (2, SQUARE[:2] + ((0, 3, 0),) + SQUARE[2:], "facet 2 is redundant"),
     (3, ((1, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (-1, -1, -1, 1)),
      "facet 1 is redundant"),
-], ids=["rank", "unbounded", "empty", "empty1", "flat", "flat1", "untouched",
-        "vertex-only", "redundant-first", "scaled-repeat", "repeat"])
+], ids=["rank", "unbounded", "empty-unbounded", "half-line", "empty", "empty1", "flat",
+        "flat1", "untouched", "vertex-only", "redundant-first", "scaled-repeat", "repeat"])
 def test_invalid_inputs_keep_their_errors(dim, rows, message):
-    facets = labels(*rows)
-    with pytest.raises(InvalidPolytopeError, match=f"^{message}$"):
-        LabelledPolytope(dim, facets)
-    assert_enumeration_matches(dim, facets)
+    # as given, then three GL(n, Z) images with rescaled labels
+    rng = random.Random(0)
+    for facets in [labels(*rows)] + [transformed(dim, labels(*rows), rng) for _ in range(3)]:
+        with pytest.raises(InvalidPolytopeError, match=f"^{message}$"):
+            LabelledPolytope(dim, facets)
+        assert_enumeration_matches(dim, facets)

@@ -918,8 +918,11 @@ def test_expression_tree_parsing():
     rel = tc.RelativePotential.from_expression(1, tree)
     x = 0.37
     assert abs(rel.value((x,)) - (0.5 * x ** 2 + math.log(x))) < 1e-12
-    with pytest.raises(InvalidArgumentError):
-        tc.RelativePotential.from_expression(1, {"kind": "coord", "index": 5})
+    zero_denominator = {"kind": "const", "value": "1/0"}
+    for bad in ({"kind": "coord", "index": 5}, zero_denominator,
+                {"kind": "log", "arg": zero_denominator}):
+        with pytest.raises(InvalidArgumentError):
+            tc.RelativePotential.from_expression(1, bad)
 
 
 def test_grid_margins():
@@ -933,6 +936,7 @@ def test_grid_margins():
 def test_convexity_margin():
     u = tc.SymplecticPotential.canonical(tc.segment())
     grid = tc.Grid.interior(tc.segment(), 16)
-    assert u.convexity_margin(grid.points) > 0
+    assert tc.extremality_residual(u, grid).min_hessian_eigenvalue > 0
     bad = tc.SymplecticPotential(tc.segment(), tc.RelativePotential(1, -10 * X0 ** 2))
-    assert bad.convexity_margin(grid.points) < 0
+    with pytest.raises(NotConvexHereError):
+        tc.extremality_residual(bad, grid)

@@ -1,13 +1,18 @@
 """The benchmark tracer's entry points exist in the library.
 
 `perfbench/tracing.py` wraps every name in its `ENTRY_POINTS` table; a name
-the library no longer has breaks every `--trace 1` run. Resolving the table
-here makes such a removal fail the test suite instead.
+the library no longer has breaks every `--trace 1` run, and a name that stops
+being a cached property or a function called through its module silently
+counts nothing. Resolving the table, and counting calls under an installed
+tracer, makes either change fail the test suite instead.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
+
+import toriccontact as tc
+from toriccontact import moments
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -36,3 +41,13 @@ def test_tracer_entry_points_resolve():
             if not found:
                 missing.append(f"{layer}.{name}")
     assert missing == []
+
+
+def test_tracer_counts_vertices_and_triangulations():
+    tracer = load_tracing().Tracer()
+    with tracer.installed():
+        box = tc.unit_box(2)
+        box.vertices
+        moments.volume(box)
+    assert tracer.calls["polytope.LabelledPolytope.vertices"] > 0
+    assert tracer.calls["moments.triangulate"] > 0
